@@ -21,7 +21,7 @@ from .analysis import (
     sweep,
     sweep_csv,
 )
-from .engine import simulate_rounds
+from .engine import check_simulation_inputs, simulate_rounds
 from .field import DEFAULT_MODULUS, SeededRng, make_field
 from .scheme import (
     ConstructionFailed,
@@ -201,16 +201,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     artifact = _load_artifact(args.artifact)
+    responders = None
+    if args.responders:
+        responders = [int(tok) for tok in args.responders.split(",") if tok]
+    # Refuse bad round inputs before paying for certification.
+    L, responders = check_simulation_inputs(
+        artifact, args.L, args.rounds, responders
+    )
     cert = certify(artifact)
     if not cert.passed:
         print("artifact fails certification; not simulating", file=sys.stderr)
         return EXIT_VERIFY
-    responders = None
-    if args.responders:
-        responders = [int(tok) for tok in args.responders.split(",") if tok]
     report = simulate_rounds(
         artifact,
-        L=args.L,
+        L=L,
         rounds=args.rounds,
         rng=SeededRng(args.seed).spawn("simulate"),
         responders=responders,

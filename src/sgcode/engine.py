@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactmat import FieldMatrix, invert, solve_linear
+from .exactmat import FieldMatrix, SubsetDecoder
 from .field import SeededRng, sample_array
 from .scheme import SchemeArtifact
 
@@ -135,8 +135,12 @@ def encode(
     return Transcript(stacked=stacked, scheme=scheme, round_seed=round_seed)
 
 
-def _subset_rows(scheme: SchemeArtifact, responders: Sequence[int]) -> np.ndarray:
-    subset = sorted(set(int(s) for s in responders))
+def _responder_subset(
+    scheme: SchemeArtifact, responders: Sequence[int]
+) -> Tuple[int, ...]:
+    """The responders as a sorted tuple; raises unless they form a size-Nr
+    subset of [1, N]."""
+    subset = tuple(sorted(set(int(s) for s in responders)))
     if len(subset) != scheme.params.Nr or not all(
         1 <= s <= scheme.params.N for s in subset
     ):
@@ -144,24 +148,30 @@ def _subset_rows(scheme: SchemeArtifact, responders: Sequence[int]) -> np.ndarra
             f"responders {sorted(responders)} is not a size-{scheme.params.Nr} "
             f"subset of [1, {scheme.params.N}]"
         )
+    return subset
+
+
+def _subset_rows(scheme: SchemeArtifact, subset: Tuple[int, ...]) -> np.ndarray:
     r = scheme.dims.r
     return np.concatenate([np.arange((s - 1) * r, s * r) for s in subset])
+
+
+def _decoder(scheme: SchemeArtifact) -> SubsetDecoder:
+    """Piece sums from any responder subset's stacked messages."""
+    p = scheme.params
+    return SubsetDecoder(scheme.c.data, p.q.q, scheme.dims.r, p.Nr, scheme.dims.n)
 
 
 def decode(
     scheme: SchemeArtifact, transcript: Transcript, responders: Sequence[int]
 ) -> FieldMatrix:
-    """Recover the length-L gradient sum from the responder subset: invert
-    the stacked C_U, apply it, read the first n rows as the piece sums."""
-    rows = _subset_rows(scheme, responders)
-    c_u = scheme.c.take_rows(rows)
-    x_u = transcript.stacked.take_rows(rows)
-    y = invert(c_u) @ x_u
-    n = scheme.dims.n
-    ell = x_u.cols
-    return FieldMatrix.wrap(
-        y.data[:n].reshape(1, n * ell).copy(), scheme.params.q
-    )
+    """Recover the length-L gradient sum from the responder subset: the first
+    n rows of C_U^-1 X_U are the piece sums. Raises exactmat.Singular naming
+    the subset when C_U, or the first subset's C_U0, is singular."""
+    subset = _responder_subset(scheme, responders)
+    x_u = transcript.stacked.data[_subset_rows(scheme, subset)]
+    y = _decoder(scheme)(subset, x_u)
+    return FieldMatrix.wrap(y.reshape(1, y.size), scheme.params.q)
 
 
 def direct_gradient_sum(round_state: RoundState) -> FieldMatrix:
@@ -208,6 +218,26 @@ def rotating_responders(scheme: SchemeArtifact) -> List[Tuple[int, ...]]:
     return list(combinations(range(1, scheme.params.N + 1), scheme.params.Nr))
 
 
+def check_simulation_inputs(
+    scheme: SchemeArtifact,
+    L: Optional[int],
+    rounds: int,
+    responders: Optional[Sequence[int]] = None,
+) -> Tuple[int, Optional[Tuple[int, ...]]]:
+    """Validate simulate_rounds' inputs before any work is done: returns L
+    (default 4n) and the sorted responders, or raises BadLength,
+    WrongSubsetSize or ValueError."""
+    if L is None:
+        L = default_length(scheme)
+    if L < 0 or L % scheme.dims.n:
+        raise BadLength(f"L={L} is not a nonnegative multiple of n={scheme.dims.n}")
+    if rounds < 0:
+        raise ValueError(f"rounds={rounds} is negative")
+    if responders is not None:
+        responders = _responder_subset(scheme, responders)
+    return L, responders
+
+
 def simulate_rounds(
     scheme: SchemeArtifact,
     L: Optional[int],
@@ -219,19 +249,16 @@ def simulate_rounds(
     """Run many rounds and check each decode against the direct sum.
 
     With responders=None, rounds rotate through all size-Nr subsets. All
-    rounds' message vectors are encoded in one stacked product, and decodes
-    are batched per distinct responder subset (one exact solve each), which
-    computes exactly what per-round invert-and-multiply would.
+    rounds' message vectors are encoded in one stacked product. Decoding
+    eliminates the first subset's C_U0 once per call and then costs a small
+    block solve per distinct responder subset; it computes exactly what
+    per-round decode calls would, and raises exactmat.Singular naming the
+    first scheduled subset whose C_U is singular.
     """
-    if L is None:
-        L = default_length(scheme)
+    L, fixed = check_simulation_inputs(scheme, L, rounds, responders)
     dims = scheme.dims
-    ell = L // dims.n if L >= 0 and L % dims.n == 0 else None
-    if ell is None:
-        raise BadLength(f"L={L} is not a nonnegative multiple of n={dims.n}")
-    if responders is not None:
-        fixed = tuple(sorted(set(int(s) for s in responders)))
-        _subset_rows(scheme, fixed)
+    ell = L // dims.n
+    if fixed is not None:
         schedule = [fixed] * rounds
     else:
         rotation = rotating_responders(scheme)
@@ -241,6 +268,7 @@ def simulate_rounds(
         sample_round(scheme, L, rng.spawn(f"round-{t}")) for t in range(rounds)
     ]
     sums = [direct_gradient_sum(s) for s in states]
+    decoded: Dict[int, FieldMatrix] = {}
     if rounds:
         w_big = np.concatenate(
             [build_W(s, scheme).matrix.data for s in states], axis=1
@@ -248,27 +276,20 @@ def simulate_rounds(
         x_big = (
             scheme.c @ (scheme.f @ FieldMatrix.wrap(w_big, scheme.params.q))
         ).data
-    else:
-        x_big = np.zeros((dims.r * scheme.params.N, 0), dtype=scheme.params.q.dtype())
-
-    by_subset: Dict[Tuple[int, ...], List[int]] = {}
-    for t, subset in enumerate(schedule):
-        by_subset.setdefault(subset, []).append(t)
-
-    decoded: Dict[int, FieldMatrix] = {}
-    for subset, round_ids in by_subset.items():
-        rows = _subset_rows(scheme, subset)
-        cols = np.concatenate(
-            [np.arange(t * ell, (t + 1) * ell) for t in round_ids]
-        ) if ell else np.empty(0, dtype=np.intp)
-        c_u = scheme.c.take_rows(rows)
-        rhs = FieldMatrix.wrap(x_big[rows][:, cols.astype(np.intp)], scheme.params.q)
-        y = solve_linear(c_u, rhs).data
-        for pos, t in enumerate(round_ids):
-            block = y[: dims.n, pos * ell : (pos + 1) * ell]
-            decoded[t] = FieldMatrix.wrap(
-                block.reshape(1, dims.n * ell).copy(), scheme.params.q
+        by_subset: Dict[Tuple[int, ...], List[int]] = {}
+        for t, subset in enumerate(schedule):
+            by_subset.setdefault(subset, []).append(t)
+        decoder = _decoder(scheme)
+        for subset, round_ids in by_subset.items():
+            cols = np.concatenate(
+                [np.arange(t * ell, (t + 1) * ell) for t in round_ids]
             )
+            y = decoder(subset, x_big[np.ix_(_subset_rows(scheme, subset), cols)])
+            for pos, t in enumerate(round_ids):
+                block = y[:, pos * ell : (pos + 1) * ell]
+                decoded[t] = FieldMatrix.wrap(
+                    block.reshape(1, dims.n * ell), scheme.params.q
+                )
 
     reports = []
     for t, subset in enumerate(schedule):

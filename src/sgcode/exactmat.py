@@ -1,6 +1,7 @@
 """Dense exact matrices over GF(q): rank, canonical linear solve, inversion,
-the responder-subset invertibility scan, and block assembly. Everything is
-integer arithmetic; there is no floating point anywhere in this module."""
+the responder-subset invertibility scan and subset decoder, and block
+assembly. Everything is integer arithmetic; there is no floating point
+anywhere in this module."""
 
 from __future__ import annotations
 
@@ -305,6 +306,48 @@ def rank(a: FieldMatrix) -> int:
     return len(pivot_columns(a))
 
 
+def _u0_frame(
+    arr: np.ndarray, q: int, r: int, Nr: int, lead: int
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """One elimination of the first responder subset U0 = (1..Nr).
+
+    arr stacks r rows per server and has m = r*Nr columns. Reducing
+    [C_U0^T | C_out^T | I_m[:, :lead]] yields T = C_out C_U0^-1 for the
+    servers outside U0 and E = C_U0^-1[:lead], the leading rows of the
+    inverse, which ride along as extra right-hand sides. Returns (T, E), or
+    None when C_U0 is singular.
+    """
+    m = r * Nr
+    out = arr.shape[0] - m
+    aug = np.concatenate(
+        [arr[:m].T, arr[m:].T, np.eye(m, lead, dtype=arr.dtype)], axis=1
+    )
+    if len(_reduce_rows(aug, q, m, full=True)) < m:
+        return None
+    return aug[:, m : m + out].T, np.ascontiguousarray(aug[:, m + out :].T)
+
+
+def _row_blocks(r: int, count: int) -> List[np.ndarray]:
+    """block[i] holds the r row indices of the server at 0-based position i."""
+    return [np.arange(r * i, r * (i + 1)) for i in range(count)]
+
+
+def _block_rows(block: List[np.ndarray], positions: List[int]) -> np.ndarray:
+    if not positions:
+        return np.empty(0, dtype=np.intp)
+    return np.concatenate([block[i] for i in positions])
+
+
+def _exchange(
+    subset: Tuple[int, ...], Nr: int, block: List[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """For the sorted 1-based subset U = U0 - A + B: the rows of A within
+    C_U0 and the rows of B within T."""
+    dropped = sorted(set(range(Nr)) - {s - 1 for s in subset})
+    added = [s - Nr - 1 for s in subset if s > Nr]
+    return _block_rows(block, dropped), _block_rows(block, added)
+
+
 def first_singular_subset(
     arr: np.ndarray, q: int, r: int, N: int, Nr: int
 ) -> Tuple[int, Optional[Tuple[int, ...]]]:
@@ -316,7 +359,7 @@ def first_singular_subset(
     the first singular subset, or the total count and None when every C_U
     is invertible.
 
-    U0 = (1..Nr) is eliminated once as [C_U0^T | C_out^T], which yields
+    U0 = (1..Nr) is eliminated once (_u0_frame), which yields
     T = C_out C_U0^-1 for the servers outside U0. Every other subset is
     U = U0 - A + B, and C_U C_U0^-1 keeps identity rows for the servers of
     U0 - A, so C_U is invertible exactly when the r|A| x r|A| block
@@ -326,19 +369,59 @@ def first_singular_subset(
     if Nr == N:
         full = len(_rank_kernel(np.array(arr), q)) == m
         return 1, None if full else tuple(range(1, N + 1))
-    aug = np.concatenate([arr[:m].T, arr[m:].T], axis=1)
-    if len(_reduce_rows(aug, q, m, full=True)) < m:
+    frame = _u0_frame(arr, q, r, Nr, 0)
+    if frame is None:
         return 1, tuple(range(1, Nr + 1))
-    t = aug[:, m:].T
-    block = [np.arange(r * i, r * (i + 1)) for i in range(max(Nr, N - Nr))]
+    t = frame[0]
+    block = _row_blocks(r, N)
     others = islice(combinations(range(1, N + 1), Nr), 1, None)
     for checked, subset in enumerate(others, start=2):
-        dropped = sorted(set(range(1, Nr + 1)) - set(subset))
-        cols = np.concatenate([block[a - 1] for a in dropped])
-        rows = np.concatenate([block[b - Nr - 1] for b in subset if b > Nr])
+        cols, rows = _exchange(subset, Nr, block)
         if len(_rank_kernel(t[np.ix_(rows, cols)], q)) < cols.size:
             return checked, subset
     return comb(N, Nr), None
+
+
+class SubsetDecoder:
+    """The leading `lead` rows of C_U^-1 X_U for every size-Nr subset U of
+    the N servers stacked in arr, from one elimination of U0 = (1..Nr).
+
+    For U = U0 - A + B with kept part K, write C_U Y = X_U as Y = C_U0^-1 Z.
+    Then Z_K = X_K, X_B = T[B,K] Z_K + T[B,A] Z_A, and the leading rows of Y
+    are E Z: one r|A| x r|A| solve and two products per subset.
+
+    Raises Singular naming U0 when C_U0 is singular.
+    """
+
+    def __init__(self, arr: np.ndarray, q: int, r: int, Nr: int, lead: int):
+        frame = _u0_frame(arr, q, r, Nr, lead)
+        if frame is None:
+            u0 = tuple(range(1, Nr + 1))
+            raise Singular(f"responder subset {u0} is not invertible")
+        self.t, self.e = frame
+        self.q, self.Nr = q, Nr
+        self.block = _row_blocks(r, arr.shape[0] // r)
+
+    def __call__(self, subset: Tuple[int, ...], x_u: np.ndarray) -> np.ndarray:
+        """Leading rows of C_U^-1 x_u for the sorted subset, where x_u stacks
+        the subset's r-row blocks in order, so x_u = [X_K; X_B]. Raises
+        Singular naming the subset when C_U is singular."""
+        q = self.q
+        dropped, added = _exchange(subset, self.Nr, self.block)
+        if not dropped.size:
+            return _matmul_kernel(self.e, x_u, q)
+        kept = _block_rows(self.block, [s - 1 for s in subset if s <= self.Nr])
+        x_k, x_b = x_u[: kept.size], x_u[kept.size :]
+        rhs = x_b
+        if kept.size:
+            rhs = (x_b - _matmul_kernel(self.t[np.ix_(added, kept)], x_k, q)) % q
+        aug = np.concatenate([self.t[np.ix_(added, dropped)], rhs], axis=1)
+        if len(_reduce_rows(aug, q, dropped.size, full=True)) < dropped.size:
+            raise Singular(f"responder subset {subset} is not invertible")
+        z = np.empty((self.e.shape[1], x_u.shape[1]), dtype=x_u.dtype)
+        z[kept] = x_k
+        z[dropped] = aug[:, dropped.size :]
+        return _matmul_kernel(self.e, z, q)
 
 
 def solve_linear(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:

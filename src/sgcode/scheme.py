@@ -149,6 +149,12 @@ def check_feasibility(params: SchemeParams) -> FeasibilityReport:
 # ---- data assignment --------------------------------------------------------
 
 
+def _server_id(value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadAssignment(f"server id {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DataAssignment:
     """Which servers hold each dataset, and the derived per-server view."""
@@ -160,7 +166,9 @@ class DataAssignment:
     def from_datasets(
         cls, n_servers: int, datasets: Iterable[Iterable[int]]
     ) -> "DataAssignment":
-        holders = tuple(frozenset(int(s) for s in d) for d in datasets)
+        """Server ids are 1-based ints or numpy integers; any other value,
+        such as a float, a string or a bool, raises BadAssignment."""
+        holders = tuple(frozenset(_server_id(s) for s in d) for d in datasets)
         per_server = tuple(
             frozenset(k + 1 for k, d in enumerate(holders) if n in d)
             for n in range(1, n_servers + 1)
@@ -354,19 +362,6 @@ def _build_coding(
         f"q={params.q.q} is below the recommended minimum "
         f"{recommended_min_q(params, dims, assignment)}"
     )
-
-
-def build_coding_matrix(
-    params: SchemeParams,
-    dims: DerivedDims,
-    assignment: DataAssignment,
-    rng: SeededRng,
-) -> CodingMatrix:
-    """Sample C under the availability zero pattern and certify it: every
-    responder subset invertible, every non-holder key block of full row rank.
-    Resamples with fresh derived seeds up to the retry limit."""
-    coding, _ = _build_coding(params, dims, assignment, rng)
-    return coding
 
 
 # ---- demand matrix ----------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import sgcode.cli
 from sgcode.cli import (
     EXIT_CONSTRUCTION,
     EXIT_INFEASIBLE,
@@ -112,6 +113,17 @@ def test_build_rejects_malformed_assignment_file(tmp_path, capsys):
                  "--out", str(tmp_path / "x.json")])
     assert code == EXIT_IO
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("server", [1.7, True, "2"])
+def test_build_rejects_non_integer_server_id(tmp_path, capsys, server):
+    source = tmp_path / "assign.json"
+    source.write_text(json.dumps({"D": [[server, 3], [1, 2], [1, 2]]}))
+    code = main(["build", *WORKED, "--assignment", str(source),
+                 "--out", str(tmp_path / "x.json")])
+    assert code == EXIT_IO
+    assert "not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_build_rejects_underreplicated_assignment(tmp_path, capsys):
@@ -224,6 +236,24 @@ def test_simulate_rejects_wrong_subset_size(tmp_path, capsys):
 def test_simulate_rejects_bad_length(tmp_path, capsys):
     path = build_artifact(tmp_path)
     assert main(["simulate", str(path), "--L", "7"]) == EXIT_INFEASIBLE
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--L", "1"], ["--L", "-3"], ["--responders", "1,2"],
+     ["--responders", "1,2,4"], ["--responders", "1,2,x"], ["--rounds", "-1"]],
+)
+def test_simulate_refuses_bad_inputs_before_certifying(
+    tmp_path, capsys, monkeypatch, extra
+):
+    path = build_artifact(tmp_path)
+
+    def no_certify(artifact):
+        raise AssertionError("certify ran before the inputs were checked")
+
+    monkeypatch.setattr(sgcode.cli, "certify", no_certify)
+    assert main(["simulate", str(path), *extra]) == EXIT_INFEASIBLE
+    assert "invalid parameters" in capsys.readouterr().err
 
 
 def test_simulate_refuses_uncertified_artifact(tmp_path, capsys):

@@ -3,6 +3,8 @@ responder subset, and the batched multi-round simulator."""
 
 from __future__ import annotations
 
+import dataclasses
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,12 +28,13 @@ from sgcode.engine import (
     simulate_rounds,
     split_W,
 )
-from sgcode.exactmat import FieldMatrix
+from sgcode.exactmat import FieldMatrix, Singular, solve_linear
 from sgcode.field import SeededRng, make_field
 from sgcode.keyspace import enumerate_groups, unavailable_key_columns
 from sgcode.scheme import DataAssignment, SchemeParams, build_scheme, gradient_columns
 
 Q = make_field(2147483647)
+P31, P61 = 2147483647, (1 << 61) - 1
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +190,61 @@ def test_decode_rejects_bad_subsets(wide_scheme):
         decode(wide_scheme, transcript, (1, 2, 3, 3))
 
 
+def with_server_block(scheme, server, source):
+    """The scheme with server's block of C overwritten by source's."""
+    r = scheme.dims.r
+    data = scheme.c.data.copy()
+    data[(server - 1) * r : server * r] = data[(source - 1) * r : source * r]
+    matrix = FieldMatrix.wrap(data, scheme.params.q)
+    return dataclasses.replace(
+        scheme, coding=dataclasses.replace(scheme.coding, matrix=matrix)
+    )
+
+
+@pytest.mark.parametrize("pieces", [0, 2])
+@pytest.mark.parametrize(
+    "tup, q",
+    [((3, 3, 3, 2, 2), q) for q in (7, P31, P61)]  # Nr = N
+    + [((2, 4, 3, 3, 3), q) for q in (2, 7, P31, P61)]  # Nr = N - 1
+    + [((2, 6, 3, 5, 5), q) for q in (7, P31, P61)],  # Nr <= N/2
+)
+def test_decoders_match_reference_solve_over_full_rotation(tup, q, pieces):
+    K, N, Nr, M, S = tup
+    params = SchemeParams(K=K, N=N, Nr=Nr, M=M, S=S, q=make_field(q))
+    scheme = build_scheme(params, seed=1)
+    L = scheme.dims.n * pieces
+    rotation = rotating_responders(scheme)
+    report = simulate_rounds(scheme, L=L, rounds=len(rotation), rng=SeededRng(3))
+    assert report.all_match
+    r = scheme.dims.r
+    for t, subset in enumerate(rotation):
+        state = sample_round(scheme, L, SeededRng(3).spawn(f"round-{t}"))
+        transcript = encode(scheme, build_W(state, scheme))
+        rows = [i for s in subset for i in range((s - 1) * r, s * r)]
+        y = solve_linear(scheme.c.take_rows(rows), transcript.stacked.take_rows(rows))
+        want = FieldMatrix.wrap(y.data[: scheme.dims.n].reshape(1, L), params.q)
+        assert want == direct_gradient_sum(state)
+        assert decode(scheme, transcript, subset) == want
+        assert report.rounds[t].decoded_digest == _digest(want)
+
+
+@pytest.mark.parametrize(
+    "server, source, first", [(5, 4, (1, 2, 4, 5)), (2, 1, (1, 2, 3, 4))]
+)
+def test_singular_subset_is_named(wide_scheme, server, source, first):
+    # A repeated server block makes every subset holding both copies
+    # singular; the second case hits U0 itself.
+    bad = with_server_block(wide_scheme, server, source)
+    state = sample_round(bad, bad.dims.n, SeededRng(4))
+    transcript = encode(bad, build_W(state, bad))
+    with pytest.raises(Singular, match=re.escape(str(first))):
+        decode(bad, transcript, first)
+    with pytest.raises(Singular, match=re.escape(str(first))):
+        simulate_rounds(bad, L=None, rounds=5, rng=SeededRng(0))
+    if first != (1, 2, 3, 4):
+        assert decode(bad, transcript, (1, 2, 3, 4)) == direct_gradient_sum(state)
+
+
 def test_zero_length_round_is_vacuous(scheme):
     state = sample_round(scheme, 0, SeededRng(1))
     transcript = encode(scheme, build_W(state, scheme))
@@ -231,6 +289,19 @@ def test_simulation_matches_single_round_decode(wide_scheme):
         assert report.rounds[t].decoded_digest == _digest(lone)
 
 
+def test_simulation_digests_are_pinned(wide_scheme):
+    # Each C_U is invertible, so the decoded sums, and hence these digests,
+    # do not depend on how the decoder computes them.
+    report = simulate_rounds(wide_scheme, L=None, rounds=5, rng=SeededRng(8))
+    assert [r.decoded_digest for r in report.rounds] == [
+        "7058f978a1e865b5cabe5fb76599e74ae1df5afe24d8bd7cbaa39a17e6105c85",
+        "7b12c9891e069ad0a51ceffce0e7f8c39d2390b6030645d08e166a0a7877f29d",
+        "2a97714e19e6cfa82bcdd5c509538a01ef56d676d15610023ee9f1bc7dbc2225",
+        "e992072c9f514f072171229aa612bb7ac433af4f35bbd79bb0a204d69c5ebeab",
+        "c86ce24c0fbf7341353f9d92c343150bcbcddc1371a18f712917363729bb9640",
+    ]
+
+
 def test_simulation_with_fixed_responders(wide_scheme):
     report = simulate_rounds(
         wide_scheme, L=None, rounds=4, rng=SeededRng(10), responders=(5, 1, 3, 2)
@@ -246,6 +317,8 @@ def test_simulation_validates_inputs(wide_scheme):
         simulate_rounds(
             wide_scheme, L=None, rounds=1, rng=SeededRng(0), responders=(1, 2)
         )
+    with pytest.raises(ValueError, match="negative"):
+        simulate_rounds(wide_scheme, L=None, rounds=-1, rng=SeededRng(0))
 
 
 def test_simulation_zero_rounds(wide_scheme):

@@ -3,6 +3,7 @@ rank and solving, block assembly, and serialization."""
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -14,6 +15,7 @@ from sgcode.exactmat import (
     DimensionMismatch,
     FieldMatrix,
     Singular,
+    SubsetDecoder,
     Unsolvable,
     assemble_blocks,
     first_singular_subset,
@@ -286,6 +288,40 @@ def test_first_singular_subset_all_servers_respond(field):
     )
     arr[9:12] = arr[0:3]
     assert first_singular_subset(arr, field.q, r, N, N) == (1, (1, 2, 3, 4))
+
+
+# ---- subset decoder ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("cols", [0, 3])
+@pytest.mark.parametrize("q", [2, 7, 2147483647, (1 << 61) - 1])
+@pytest.mark.parametrize("r, N, Nr", [(2, 4, 4), (3, 4, 3), (2, 5, 4), (2, 4, 2), (2, 6, 3)])
+def test_subset_decoder_matches_reference_solve(q, r, N, Nr, cols):
+    # Nr = N, Nr = N - 1 and Nr <= N/2, where a subset can drop all of U0.
+    field = make_field(q)
+    m, lead = r * Nr, r + 1
+    for seed in range(6):
+        arr = stacked_blocks(r, N, Nr, field, seed)
+        if q > 2147483647:
+            assert arr.dtype == object
+        x = random_matrix(r * N, cols, field, 100 + seed).data
+        u0 = FieldMatrix.wrap(arr[:m], field)
+        if rank(u0) < m:
+            with pytest.raises(Singular, match=re.escape(str(tuple(range(1, Nr + 1))))):
+                SubsetDecoder(arr, q, r, Nr, lead)
+            continue
+        decoder = SubsetDecoder(arr, q, r, Nr, lead)
+        for subset in combinations(range(1, N + 1), Nr):
+            rows = np.concatenate([np.arange((s - 1) * r, s * r) for s in subset])
+            c_u = FieldMatrix.wrap(arr[rows], field)
+            if rank(c_u) < m:
+                with pytest.raises(Singular, match=re.escape(str(subset))):
+                    decoder(subset, x[rows])
+                continue
+            want = solve_linear(c_u, FieldMatrix.wrap(x[rows], field)).data[:lead]
+            got = decoder(subset, x[rows])
+            assert got.shape == (lead, cols)
+            assert np.array_equal(got, want)
 
 
 # ---- block assembly ----------------------------------------------------------

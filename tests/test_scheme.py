@@ -116,6 +116,23 @@ def test_assignment_holders_and_non_holders():
     assert a.non_holders(2, 3) == frozenset({3})
 
 
+@pytest.mark.parametrize("server", [1.7, 2.0, True, "1", None])
+def test_assignment_rejects_non_integer_server_ids(small_scheme, server):
+    with pytest.raises(BadAssignment, match="not an integer"):
+        DataAssignment.from_datasets(3, [[server, 3], [1, 2], [1, 2]])
+    obj = artifact_to_json_dict(small_scheme)
+    obj["assignment"]["D"][0] = [server, 3]
+    with pytest.raises(ParseError, match="not an integer"):
+        artifact_from_json(json.dumps(obj))
+
+
+def test_assignment_accepts_numpy_integer_ids():
+    ids = np.array([2, 3], dtype=np.int64)
+    a = DataAssignment.from_datasets(3, [ids, [1, 2], [1, 2]])
+    assert a == small_assignment()
+    assert all(type(s) is int for s in a.holders(1))
+
+
 def test_random_assignment_is_valid_and_reproducible():
     params = SchemeParams(K=5, N=6, Nr=6, M=2, S=3, q=Q)
     a = random_assignment(params, SeededRng(42))
