@@ -238,6 +238,13 @@ def check_simulation_inputs(
     return L, responders
 
 
+# A simulation block holds at most this many symbols of stacked message
+# vectors W (8 MB of int64) unless one rotation alone needs more. Blocks of
+# many short rounds keep the per-block calls few; the bound keeps long
+# gradients from stacking every round at once.
+_BLOCK_SYMBOLS = 1 << 20
+
+
 def simulate_rounds(
     scheme: SchemeArtifact,
     L: Optional[int],
@@ -248,62 +255,64 @@ def simulate_rounds(
 ) -> SimulationReport:
     """Run many rounds and check each decode against the direct sum.
 
-    With responders=None, rounds rotate through all size-Nr subsets. All
-    rounds' message vectors are encoded in one stacked product. Decoding
-    eliminates the first subset's C_U0 once per call and then costs a small
-    block solve per distinct responder subset; it computes exactly what
-    per-round decode calls would, and raises exactmat.Singular naming the
-    first scheduled subset whose C_U is singular.
+    With responders=None, rounds rotate through all size-Nr subsets. Rounds
+    run in blocks of whole rotations of C(N,Nr) rounds, as many rotations as
+    keep a block's message vectors within _BLOCK_SYMBOLS symbols but at
+    least one: a block is encoded in one stacked product and then dropped,
+    so memory does not grow with the round count. Round t draws from
+    rng.spawn(f"round-{t}"), so the blocking does not change any round.
+    Decoding eliminates the first subset's C_U0 once per call and then costs
+    a small block solve per distinct responder subset in a block; it
+    computes exactly what per-round decode calls would, and raises
+    exactmat.Singular naming the first scheduled subset whose C_U is
+    singular.
     """
     L, fixed = check_simulation_inputs(scheme, L, rounds, responders)
     dims = scheme.dims
     ell = L // dims.n
+    rotation = rotating_responders(scheme)
     if fixed is not None:
         schedule = [fixed] * rounds
     else:
-        rotation = rotating_responders(scheme)
         schedule = [rotation[t % len(rotation)] for t in range(rounds)]
 
-    states = [
-        sample_round(scheme, L, rng.spawn(f"round-{t}")) for t in range(rounds)
-    ]
-    sums = [direct_gradient_sum(s) for s in states]
-    decoded: Dict[int, FieldMatrix] = {}
-    if rounds:
-        w_big = np.concatenate(
-            [build_W(s, scheme).matrix.data for s in states], axis=1
-        )
+    per_rotation = len(rotation) * dims.f_cols * ell
+    block_len = len(rotation) * max(1, _BLOCK_SYMBOLS // max(1, per_rotation))
+    reports: List[RoundReport] = []
+    decoder = _decoder(scheme) if rounds else None
+    for start in range(0, rounds, block_len):
+        block = range(start, min(start + block_len, rounds))
+        states = [sample_round(scheme, L, rng.spawn(f"round-{t}")) for t in block]
+        w_big = np.concatenate([build_W(s, scheme).matrix.data for s in states], axis=1)
         x_big = (
             scheme.c @ (scheme.f @ FieldMatrix.wrap(w_big, scheme.params.q))
         ).data
         by_subset: Dict[Tuple[int, ...], List[int]] = {}
-        for t, subset in enumerate(schedule):
-            by_subset.setdefault(subset, []).append(t)
-        decoder = _decoder(scheme)
-        for subset, round_ids in by_subset.items():
+        for pos, t in enumerate(block):
+            by_subset.setdefault(schedule[t], []).append(pos)
+        decoded: Dict[int, FieldMatrix] = {}
+        for subset, positions in by_subset.items():
             cols = np.concatenate(
-                [np.arange(t * ell, (t + 1) * ell) for t in round_ids]
+                [np.arange(pos * ell, (pos + 1) * ell) for pos in positions]
             )
             y = decoder(subset, x_big[np.ix_(_subset_rows(scheme, subset), cols)])
-            for pos, t in enumerate(round_ids):
-                block = y[:, pos * ell : (pos + 1) * ell]
-                decoded[t] = FieldMatrix.wrap(
-                    block.reshape(1, dims.n * ell), scheme.params.q
+            for i, pos in enumerate(positions):
+                piece = y[:, i * ell : (i + 1) * ell]
+                decoded[pos] = FieldMatrix.wrap(
+                    piece.reshape(1, dims.n * ell), scheme.params.q
                 )
-
-    reports = []
-    for t, subset in enumerate(schedule):
-        match = decoded[t] == sums[t]
-        reports.append(
-            RoundReport(
-                round_index=t,
-                responders=subset,
-                per_server_symbols=dims.r * ell,
-                match=bool(match),
-                decoded_digest=_digest(decoded[t]) if with_digests else None,
-                direct_digest=_digest(sums[t]) if with_digests else None,
+        for pos, (t, state) in enumerate(zip(block, states)):
+            direct = direct_gradient_sum(state)
+            reports.append(
+                RoundReport(
+                    round_index=t,
+                    responders=schedule[t],
+                    per_server_symbols=dims.r * ell,
+                    match=bool(decoded[pos] == direct),
+                    decoded_digest=_digest(decoded[pos]) if with_digests else None,
+                    direct_digest=_digest(direct) if with_digests else None,
+                )
             )
-        )
     return SimulationReport(
         L=L,
         piece_len=ell,

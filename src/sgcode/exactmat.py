@@ -1,7 +1,8 @@
-"""Dense exact matrices over GF(q): rank, canonical linear solve, inversion,
-the responder-subset invertibility scan and subset decoder, and block
-assembly. Everything is integer arithmetic; there is no floating point
-anywhere in this module."""
+"""Dense exact matrices over GF(q): rank, canonical linear solve, the
+responder-subset invertibility scan and subset decoder, and block assembly.
+Every result is exact integer arithmetic; large int64 products run their
+16-bit limbs through float64 BLAS only where every sum is an integer below
+2^53 (see the kernel notes)."""
 
 from __future__ import annotations
 
@@ -31,19 +32,58 @@ class Singular(ValueError):
 # ---- raw kernels ------------------------------------------------------------
 #
 # The kernels mutate plain 2-D ndarrays holding values in [0, q). For
-# q <= INT64_SAFE_MODULUS the dtype is int64 and every intermediate stays
-# inside (-2^62, 2^62): row values are < q <= 2^31 - 1, an outer-product
-# update subtracts at most (q-1)^2 < 2^62 before reduction. Larger q uses
-# object-dtype Python integers through the same code paths.
+# q <= INT64_SAFE_MODULUS = 2^31 - 1 the dtype is int64; larger q uses
+# object-dtype Python integers through the same code paths. The int64 bounds:
+#
+# - Elimination (_rank_kernel, _reduce_rows). Row values are < q < 2^31, so a
+#   block update pivot*row_t - lead_t*row_p or row_t - lead_t*row_p stays
+#   inside (-2^62, 2^62) before _reduce brings it back to [0, q).
+# - Products (_matmul_kernel). Both operands split into 16-bit limbs, so
+#   every limb product is below 2^32. With inner dimension k <= 2^21 each
+#   limb sum is an integer below 2^53, which float64 holds exactly, so the
+#   BLAS dgemm behind float64 @ gives exact sums in any summation order and
+#   with or without FMA. The four limb products recombine in int64 as
+#   hh * (2^32 mod q) + (hl + lh) * 2^16 + ll after reducing hh and hl + lh,
+#   which stays below 2^62 + 2^47 + 2^53 < 2^63.
+# - The float path has a fixed cost of six conversions and four BLAS calls
+#   (about 35 us on a 2-core x86-64 box with OpenBLAS), so a product of
+#   fewer than _F64_MIN_MAC = 2^15 multiply-adds (m*k*n) keeps the int64
+#   limb product (a >> 16) @ b and (a & 0xFFFF) @ b, whose sums stay below
+#   2^46 * k < 2^62 for k <= 2^16. Most products of the small schemes sit
+#   below that size; the transcript product and encode of an N = 8 scheme
+#   sit far above it. The two paths give identical results, and the
+#   threshold is where they cost the same. Any other int64 product, with
+#   k > 2^21 (or k > 2^16 below the threshold), runs on Python integers.
+
+_F64_MIN_MAC = 1 << 15
+_F64_MAX_INNER = 1 << 21
+_INT_MAX_INNER = 1 << 16
 
 
-def _reduce_rows(mat: np.ndarray, q: int, stop_col: int, full: bool) -> List[int]:
-    """In-place Gaussian elimination; returns the pivot column list.
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place: int64 x inside (-2^62, 2^63), or object-dtype x.
+
+    On int64, floor division by a scalar is several times faster than
+    numpy's remainder on large blocks and gives the same least residue for
+    negative x. On a single row the two extra calls cost more than they
+    save, so row scalings keep `%`.
+    """
+    if x.dtype == object:
+        x %= q
+    else:
+        x -= (x // q) * q
+    return x
+
+
+def _reduce_rows(mat: np.ndarray, q: int, stop_col: int) -> List[int]:
+    """In-place reduction to reduced row echelon form; returns the pivot
+    column list.
 
     Pivots are the first nonzero entry in column order (deterministic).
     Eliminates only within the first stop_col columns; later columns ride
-    along as right-hand sides. full=True produces reduced echelon form,
-    full=False only clears below the pivots (enough for rank).
+    along as right-hand sides. Every row takes the update
+    row_t - lead_t * row_p, with lead_p set to 0 so the pivot row stays; a
+    row with lead 0 is left unchanged by it.
     """
     rows = mat.shape[0]
     pivots: List[int] = []
@@ -51,8 +91,7 @@ def _reduce_rows(mat: np.ndarray, q: int, stop_col: int, full: bool) -> List[int
     for c in range(stop_col):
         if r == rows:
             break
-        col = mat[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(mat[r:, c])[0]
         if nz.size == 0:
             continue
         p = r + int(nz[0])
@@ -62,16 +101,10 @@ def _reduce_rows(mat: np.ndarray, q: int, stop_col: int, full: bool) -> List[int
         if pivot != 1:
             inverse = pow(pivot, -1, q)
             mat[r, c:] = mat[r, c:] * inverse % q
-        if full:
-            fac = mat[:, c].copy()
-            fac[r] = 0
-            tgt = np.nonzero(fac)[0]
-        else:
-            tgt = r + 1 + np.nonzero(mat[r + 1:, c])[0]
-        if tgt.size:
-            block = mat[tgt, c:]
-            block = (block - np.outer(block[:, 0], mat[r, c:])) % q
-            mat[tgt, c:] = block
+        lead = mat[:, c].copy()
+        lead[r] = 0
+        block = mat[:, c:]
+        block[...] = _reduce(block - np.outer(lead, mat[r, c:]), q)
         pivots.append(c)
         r += 1
     return pivots
@@ -101,20 +134,40 @@ def _rank_kernel(mat: np.ndarray, q: int) -> List[int]:
             mat[[r, r + p], c:] = mat[[r + p, r], c:]
         below = mat[r + 1:, c:]
         if below.size:
-            lead = mat[r + 1:, c]
-            below[...] = (mat[r, c] * below - lead[:, None] * mat[r, c:]) % q
+            update = mat[r, c] * below
+            update -= below[:, :1] * mat[r, c:]
+            below[...] = _reduce(update, q)
         pivots.append(c)
         r += 1
     return pivots
 
 
+def _f64_limbs(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    return (x >> 16).astype(np.float64), (x & 0xFFFF).astype(np.float64)
+
+
+def _f64_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of float64 limbs, exact below 2^53, as int64."""
+    return (a @ b).astype(np.int64)
+
+
 def _matmul_kernel(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Exact modular product of value-reduced arrays."""
-    if a.dtype == np.int64 and b.dtype == np.int64 and a.shape[1] <= (1 << 16):
-        # 16-bit limb split: both partial products stay far below 2^63.
-        hi = (a >> 16) @ b % q
-        lo = (a & 0xFFFF) @ b % q
-        return (hi * 65536 + lo) % q
+    if a.dtype == np.int64 and b.dtype == np.int64:
+        (m, k), n = a.shape, b.shape[1]
+        if k <= _F64_MAX_INNER and m * k * n >= _F64_MIN_MAC:
+            a_hi, a_lo = _f64_limbs(a)
+            b_hi, b_lo = _f64_limbs(b)
+            out = _reduce(_f64_product(a_hi, b_hi), q) * ((1 << 32) % q)
+            mid = _f64_product(a_hi, b_lo)
+            mid += _f64_product(a_lo, b_hi)
+            out += _reduce(mid, q) << 16
+            out += _f64_product(a_lo, b_lo)
+            return _reduce(out, q)
+        if k <= _INT_MAX_INNER:
+            hi = (a >> 16) @ b % q
+            lo = (a & 0xFFFF) @ b % q
+            return (hi * 65536 + lo) % q
     return np.dot(a.astype(object), b.astype(object)) % q
 
 
@@ -322,7 +375,7 @@ def _u0_frame(
     aug = np.concatenate(
         [arr[:m].T, arr[m:].T, np.eye(m, lead, dtype=arr.dtype)], axis=1
     )
-    if len(_reduce_rows(aug, q, m, full=True)) < m:
+    if len(_reduce_rows(aug, q, m)) < m:
         return None
     return aug[:, m : m + out].T, np.ascontiguousarray(aug[:, m + out :].T)
 
@@ -416,7 +469,7 @@ class SubsetDecoder:
         if kept.size:
             rhs = (x_b - _matmul_kernel(self.t[np.ix_(added, kept)], x_k, q)) % q
         aug = np.concatenate([self.t[np.ix_(added, dropped)], rhs], axis=1)
-        if len(_reduce_rows(aug, q, dropped.size, full=True)) < dropped.size:
+        if len(_reduce_rows(aug, q, dropped.size)) < dropped.size:
             raise Singular(f"responder subset {subset} is not invertible")
         z = np.empty((self.e.shape[1], x_u.shape[1]), dtype=x_u.dtype)
         z[kept] = x_k
@@ -434,28 +487,13 @@ def solve_linear(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
         raise DimensionMismatch("A and B must have the same row count")
     q = a.modulus.q
     aug = np.concatenate([_work_copy(a), _work_copy(b)], axis=1)
-    pivots = _reduce_rows(aug, q, a.cols, full=True)
+    pivots = _reduce_rows(aug, q, a.cols)
     if np.any(aug[len(pivots):, a.cols:]):
         raise Unsolvable("rank of [A | B] exceeds rank of A")
     x = np.zeros((a.cols, b.cols), dtype=a.data.dtype)
     for i, c in enumerate(pivots):
         x[c, :] = aug[i, a.cols:]
     return FieldMatrix(x, a.modulus)
-
-
-def invert(a: FieldMatrix) -> FieldMatrix:
-    """Inverse of a square matrix; raises Singular when rank-deficient."""
-    if a.rows != a.cols:
-        raise DimensionMismatch("only square matrices can be inverted")
-    q = a.modulus.q
-    aug = np.concatenate(
-        [_work_copy(a), np.asarray(FieldMatrix.identity(a.rows, a.modulus).data)],
-        axis=1,
-    )
-    pivots = _reduce_rows(aug, q, a.cols, full=True)
-    if len(pivots) < a.rows:
-        raise Singular(f"rank {len(pivots)} < {a.rows}")
-    return FieldMatrix(aug[:, a.cols:].copy(), a.modulus)
 
 
 def assemble_blocks(layout: Sequence[Sequence[FieldMatrix]]) -> FieldMatrix:

@@ -13,8 +13,10 @@ import numpy as np
 # bound for desk-scale parameters, small enough for the int64 fast path.
 DEFAULT_MODULUS = 2147483647
 
-# Largest modulus for which matrices are stored as int64 and multiplied with
-# the 16-bit limb split; above this, object-dtype Python integers take over.
+# Largest modulus for which matrices are stored as int64: entries stay below
+# 2^31, so exactmat's eliminations stay inside (-2^62, 2^62) and its
+# products can split entries into 16-bit limbs (see the kernel notes there).
+# Above this, object-dtype Python integers take over.
 INT64_SAFE_MODULUS = 2147483647
 
 # Moduli must leave headroom for widening multiplication.

@@ -13,9 +13,9 @@ import numpy as np
 from .analysis import Infeasible, feasibility_violation
 from .exactmat import (
     FieldMatrix,
+    Unsolvable,
     assemble_blocks,
     first_singular_subset,
-    rank,
     solve_linear,
 )
 from .field import FieldModulus, SeededRng, make_field, sample_array, uniform_ints
@@ -273,13 +273,6 @@ def _forbidden_key_cols(
     return out
 
 
-def _server_row_blocks(params: SchemeParams, dims: DerivedDims) -> List[np.ndarray]:
-    return [
-        np.arange((s - 1) * dims.r, s * dims.r, dtype=np.intp)
-        for s in range(1, params.N + 1)
-    ]
-
-
 def _distinct_nonholder_sets(
     params: SchemeParams, assignment: DataAssignment
 ) -> List[FrozenSet[int]]:
@@ -305,24 +298,49 @@ def _sample_coding(
     return arr
 
 
+def _nonholder_solution(
+    arr: np.ndarray, dims: DerivedDims, dbar: FrozenSet[int], field: FieldModulus
+) -> np.ndarray:
+    """The canonical solution X of C_Q(non-holder rows) X = -C_G(non-holder
+    rows): F2's columns for every dataset that the servers dbar lack.
+
+    Raises Unsolvable when C_Q(non-holder rows) lacks full row rank. The
+    identity columns appended to the right-hand side make the system
+    solvable exactly then, and leave the canonical solution of the other
+    columns unchanged, so one elimination both checks the rank and solves.
+    """
+    rows = np.concatenate(
+        [np.arange((s - 1) * dims.r, s * dims.r) for s in sorted(dbar)]
+    )
+    sub = arr[rows]
+    rhs = np.concatenate(
+        [(-sub[:, : dims.n]) % field.q, np.eye(rows.size, dtype=sub.dtype)], axis=1
+    )
+    x = solve_linear(
+        FieldMatrix.wrap(sub[:, dims.n :], field), FieldMatrix.wrap(rhs, field)
+    )
+    return x.data[:, : dims.n]
+
+
 def _coding_defect(
     arr: np.ndarray,
     params: SchemeParams,
     dims: DerivedDims,
     assignment: DataAssignment,
     field: FieldModulus,
-) -> Optional[str]:
-    """None when every rank certification passes, else a description."""
+) -> Tuple[Optional[str], Dict[FrozenSet[int], np.ndarray]]:
+    """(None, F2 solutions per distinct non-holder set) when every rank
+    certification passes, else (a description, {})."""
     _, failure = first_singular_subset(arr, field.q, dims.r, params.N, params.Nr)
     if failure is not None:
-        return f"responder subset {failure} is not invertible"
-    blocks = _server_row_blocks(params, dims)
+        return f"responder subset {failure} is not invertible", {}
+    solutions: Dict[FrozenSet[int], np.ndarray] = {}
     for dbar in _distinct_nonholder_sets(params, assignment):
-        rows = np.concatenate([blocks[s - 1] for s in sorted(dbar)])
-        sub = arr[rows][:, dims.n :]
-        if rank(FieldMatrix.wrap(sub, field)) < len(dbar) * dims.r:
-            return f"key rows of non-holders {sorted(dbar)} lack full row rank"
-    return None
+        try:
+            solutions[dbar] = _nonholder_solution(arr, dims, dbar, field)
+        except Unsolvable:
+            return f"key rows of non-holders {sorted(dbar)} lack full row rank", {}
+    return None, solutions
 
 
 def recommended_min_q(
@@ -346,17 +364,18 @@ def _build_coding(
     dims: DerivedDims,
     assignment: DataAssignment,
     rng: SeededRng,
-) -> Tuple[CodingMatrix, int]:
+) -> Tuple[CodingMatrix, int, Dict[FrozenSet[int], np.ndarray]]:
     index = enumerate_groups(params.N, params.S)
     forbidden = _forbidden_key_cols(params, dims, index)
-    defect = "no attempt made"
+    defect: Optional[str] = "no attempt made"
     for attempt in range(RETRY_LIMIT):
         arr = _sample_coding(params, dims, forbidden, rng.spawn(f"sample-{attempt}"))
-        defect = _coding_defect(arr, params, dims, assignment, params.q)
+        defect, solutions = _coding_defect(arr, params, dims, assignment, params.q)
         if defect is None:
-            return CodingMatrix(
+            coding = CodingMatrix(
                 matrix=FieldMatrix.wrap(arr, params.q), r=dims.r, n=dims.n
-            ), attempt
+            )
+            return coding, attempt, solutions
     raise ConstructionFailed(
         f"{RETRY_LIMIT} attempts failed (last: {defect}); "
         f"q={params.q.q} is below the recommended minimum "
@@ -390,35 +409,24 @@ def _f1_array(dims: DerivedDims, params: SchemeParams) -> np.ndarray:
     return arr
 
 
-def build_demand_matrix(
+def _demand_matrix(
     params: SchemeParams,
     dims: DerivedDims,
     assignment: DataAssignment,
-    coding: CodingMatrix,
+    solutions: Dict[FrozenSet[int], np.ndarray],
 ) -> DemandMatrix:
-    """F1 by pattern, F3 = identity, and per dataset the canonical solution
-    of the non-holder cancellation system for F2's columns.
+    """F1 by pattern, F3 = identity, and F2's columns from the solutions.
 
-    Because F1 restricted to a dataset's columns is the identity, the system
-    for dataset k is C_Q(non-holder rows) X = -C_G(non-holder rows), which
-    depends on k only through its non-holder set; solutions are cached."""
-    q = params.q.q
-    arr = coding.matrix.data
+    Because F1 restricted to a dataset's columns is the identity, the F2
+    columns of dataset k solve C_Q(non-holder rows) X = -C_G(non-holder
+    rows), which depends on k only through its non-holder set; solutions
+    holds one canonical solution per set (_nonholder_solution)."""
     f1 = FieldMatrix.wrap(_f1_array(dims, params), params.q)
     f2_arr = np.zeros((dims.key_cols, dims.n * params.K), dtype=params.q.dtype())
-    cache: Dict[FrozenSet[int], np.ndarray] = {}
     for k in range(1, params.K + 1):
         dbar = assignment.non_holders(k, params.N)
-        if not dbar:
-            continue
-        if dbar not in cache:
-            rows = np.concatenate(
-                [np.arange((s - 1) * dims.r, s * dims.r) for s in sorted(dbar)]
-            )
-            lhs = FieldMatrix.wrap(arr[rows][:, dims.n :], params.q)
-            rhs = FieldMatrix.wrap((-arr[rows][:, : dims.n]) % q, params.q)
-            cache[dbar] = solve_linear(lhs, rhs).data
-        f2_arr[:, gradient_columns(dims, params, k)] = cache[dbar]
+        if dbar:
+            f2_arr[:, gradient_columns(dims, params, k)] = solutions[dbar]
     f2 = FieldMatrix.wrap(f2_arr, params.q)
     f3 = FieldMatrix.identity(dims.key_cols, params.q)
     zero = FieldMatrix.zeros(dims.n, dims.key_cols, params.q)
@@ -466,8 +474,8 @@ def build_scheme(
     if violations:
         raise BadAssignment("; ".join(violations))
     rng = SeededRng(seed).spawn("coding")
-    coding, retries = _build_coding(params, dims, assignment, rng)
-    demand = build_demand_matrix(params, dims, assignment, coding)
+    coding, retries, solutions = _build_coding(params, dims, assignment, rng)
+    demand = _demand_matrix(params, dims, assignment, solutions)
     return SchemeArtifact(
         params=params,
         dims=dims,

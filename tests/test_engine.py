@@ -4,6 +4,7 @@ responder subset, and the batched multi-round simulator."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sgcode import engine
 from sgcode.analysis import cost_R
 from sgcode.engine import (
     BadLength,
@@ -300,6 +302,51 @@ def test_simulation_digests_are_pinned(wide_scheme):
         "e992072c9f514f072171229aa612bb7ac433af4f35bbd79bb0a204d69c5ebeab",
         "c86ce24c0fbf7341353f9d92c343150bcbcddc1371a18f712917363729bb9640",
     ]
+
+
+@pytest.mark.parametrize("block_symbols", [1 << 20, 1])
+@pytest.mark.parametrize("responders", [None, (2, 3, 4, 5)])
+def test_simulation_over_several_rotations_is_pinned(
+    wide_scheme, monkeypatch, responders, block_symbols
+):
+    # 13 rounds are two and a half rotations of the 5 subsets. They run in
+    # one block, or with the smallest budget in three blocks of one rotation;
+    # the digests were taken before rounds ran in blocks.
+    monkeypatch.setattr(engine, "_BLOCK_SYMBOLS", block_symbols)
+    report = simulate_rounds(
+        wide_scheme, L=None, rounds=13, rng=SeededRng(12), responders=responders
+    )
+    assert report.all_match
+    assert [r.round_index for r in report.rounds] == list(range(13))
+    for field in ("decoded_digest", "direct_digest"):
+        joined = "".join(getattr(r, field) for r in report.rounds)
+        assert hashlib.sha256(joined.encode()).hexdigest() == (
+            "49f44c86348cee0d81844e47a1f82956c98960497440199aa15c9031df58d938"
+        )
+
+
+@pytest.mark.parametrize("rotations", [1, 2])
+def test_simulation_blocks_hold_whole_rotations_within_budget(
+    wide_scheme, monkeypatch, rotations
+):
+    # A rotation of the 5 subsets at ell = 2 stacks 5 * 2 * f_cols symbols.
+    ell = 2
+    per_rotation = 5 * ell * wide_scheme.dims.f_cols
+    monkeypatch.setattr(engine, "_BLOCK_SYMBOLS", rotations * per_rotation + 1)
+    widths = []
+    original = FieldMatrix.__matmul__
+
+    def recorded(a, b):
+        widths.append(b.cols)
+        return original(a, b)
+
+    monkeypatch.setattr(FieldMatrix, "__matmul__", recorded)
+    report = simulate_rounds(
+        wide_scheme, L=ell * wide_scheme.dims.n, rounds=13, rng=SeededRng(3)
+    )
+    assert report.all_match
+    assert len(report.rounds) == 13
+    assert max(widths) == rotations * 5 * ell
 
 
 def test_simulation_with_fixed_responders(wide_scheme):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgcode import exactmat
 from sgcode.exactmat import (
     DimensionMismatch,
     FieldMatrix,
@@ -19,7 +20,6 @@ from sgcode.exactmat import (
     Unsolvable,
     assemble_blocks,
     first_singular_subset,
-    invert,
     pivot_columns,
     rank,
     solve_linear,
@@ -150,10 +150,156 @@ def test_object_dtype_path_roundtrips():
     product = a @ a
     assert product.data.dtype == object
     if rank(a) == 6:
-        assert invert(a) @ a == FieldMatrix.identity(6, BIG)
+        eye = FieldMatrix.identity(6, BIG)
+        assert solve_linear(a, eye) @ a == eye
 
 
-# ---- rank, solve, invert -----------------------------------------------------
+# ---- int64 overflow bounds at the edges ---------------------------------------
+
+
+def _count_f64_products(monkeypatch):
+    calls = []
+    original = exactmat._f64_product
+
+    def counted(a, b):
+        calls.append(a.shape[1])
+        return original(a, b)
+
+    monkeypatch.setattr(exactmat, "_f64_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k, f64", [(1 << 21, True), ((1 << 21) + 1, False)])
+def test_matmul_inner_dimension_edge(monkeypatch, k, f64):
+    # Every entry q - 1: each limb sum is at its largest, just below 2^53 at
+    # k = 2^21. The exact entry is k (q-1)^2 mod q = k mod q.
+    q = DEFAULT.q
+    calls = _count_f64_products(monkeypatch)
+    a = np.full((1, k), q - 1, dtype=np.int64)
+    b = np.full((k, 2), q - 1, dtype=np.int64)
+    got = exactmat._matmul_kernel(a, b, q)
+    assert bool(calls) == f64
+    assert [int(v) for v in got.reshape(-1)] == [k % q, k % q]
+
+
+@pytest.mark.parametrize("shape, f64", [((32, 32, 32), True), ((31, 32, 32), False)])
+@pytest.mark.parametrize("fill", ["max", "random"])
+def test_matmul_either_side_of_size_threshold(monkeypatch, shape, f64, fill):
+    # 32*32*32 = 2^15 multiply-adds takes the float64 limb product, 31*32*32
+    # the int64 one; both must equal the object-dtype product.
+    q = DEFAULT.q
+    m, k, n = shape
+    if fill == "max":
+        a = np.full((m, k), q - 1, dtype=np.int64)
+        b = np.full((k, n), q - 1, dtype=np.int64)
+    else:
+        a, b = random_matrix(m, k, DEFAULT, 5).data, random_matrix(k, n, DEFAULT, 6).data
+    calls = _count_f64_products(monkeypatch)
+    got = exactmat._matmul_kernel(a, b, q)
+    assert bool(calls) == f64
+    assert got.dtype == np.int64
+    assert np.array_equal(got.astype(object), exactmat._matmul_kernel(a.astype(object), b.astype(object), q))
+
+
+def _extreme_matrix(rows, cols, q, seed):
+    """Entries drawn from {1, q - 1}: updates p*row_t - lead_t*row_p then
+    reach both ends of (-(q-1)^2, (q-1)^2)."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random((rows, cols)) < 0.5, 1, q - 1).astype(np.int64)
+
+
+@pytest.mark.parametrize("kind", ["max", "extreme", "random"])
+@pytest.mark.parametrize("rows, cols", [(12, 20), (30, 30), (40, 25)])
+def test_elimination_kernels_match_object_dtype(kind, rows, cols):
+    q = DEFAULT.q
+    if kind == "max":
+        mat = np.full((rows, cols), q - 1, dtype=np.int64)
+        mat[np.arange(min(rows, cols)), np.arange(min(rows, cols))] = 1
+    elif kind == "extreme":
+        mat = _extreme_matrix(rows, cols, q, rows * cols)
+    else:
+        mat = random_matrix(rows, cols, DEFAULT, rows + cols).data
+    for kernel, args in ((exactmat._rank_kernel, ()), (exactmat._reduce_rows, (cols // 2,))):
+        fast, oracle = mat.copy(), mat.astype(object)
+        assert kernel(fast, q, *args) == kernel(oracle, q, *args)
+        assert fast.dtype == np.int64
+        assert np.array_equal(fast.astype(object), oracle)
+        assert fast.min() >= 0 and fast.max() < q
+
+
+def _reference_rref(rows, q, stop):
+    """Reduced row echelon form over GF(q) on Python integers, one entry at
+    a time; returns (pivot columns, reduced rows)."""
+    rows = [[v % q for v in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(stop):
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = pow(rows[r][c], -1, q)
+        rows[r] = [v * inv % q for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(v - f * w) % q for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, rows
+
+
+@pytest.mark.parametrize("q", [2, 7, 2147483647])
+@pytest.mark.parametrize("kind", ["extreme", "random"])
+def test_pivots_and_solve_match_reference_elimination(q, kind):
+    field = make_field(q)
+    for seed in range(4):
+        if kind == "extreme":
+            a_arr = _extreme_matrix(9, 7, q, seed) % q
+            b_arr = _extreme_matrix(9, 3, q, seed + 50) % q
+        else:
+            a_arr = random_matrix(9, 7, field, seed).data.copy()
+            b_arr = random_matrix(9, 3, field, seed + 50).data
+        a_arr[:, 3] = a_arr[:, 1]  # one dependent column
+        a, b = FieldMatrix.wrap(a_arr, field), FieldMatrix.wrap(b_arr, field)
+        pivots, _ = _reference_rref(a_arr.tolist(), q, 7)
+        assert pivot_columns(a) == pivots
+        # A consistent right-hand side: the canonical solution is read off
+        # the reference reduced form of [A | A X].
+        rhs = a @ FieldMatrix.wrap(b_arr[:7], field)
+        pivots, reduced = _reference_rref(
+            np.concatenate([a_arr, rhs.data], axis=1).tolist(), q, 7
+        )
+        want = np.zeros((7, 3), dtype=np.int64)
+        for i, c in enumerate(pivots):
+            want[c] = reduced[i][7:]
+        assert np.array_equal(solve_linear(a, rhs).data, want)
+
+
+@pytest.mark.parametrize("q", [2, 7, 2147483647])
+def test_subset_decoder_at_extreme_entries(q):
+    field = make_field(q)
+    r, N, Nr = 2, 5, 3
+    m = r * Nr
+    for seed in range(8):
+        arr = _extreme_matrix(r * N, m, q, seed) % q
+        x = _extreme_matrix(r * N, 4, q, seed + 100) % q
+        if rank(FieldMatrix.wrap(arr[:m], field)) < m:
+            continue
+        decoder = SubsetDecoder(arr, q, r, Nr, 3)
+        for subset in combinations(range(1, N + 1), Nr):
+            rows = np.concatenate([np.arange((s - 1) * r, s * r) for s in subset])
+            pivots, reduced = _reference_rref(
+                np.concatenate([arr[rows], x[rows]], axis=1).tolist(), q, m
+            )
+            if len(pivots) < m:
+                with pytest.raises(Singular):
+                    decoder(subset, x[rows])
+                continue
+            want = np.array([row[m:] for row in reduced[:3]], dtype=np.int64)
+            assert np.array_equal(decoder(subset, x[rows]), want)
+
+
+# ---- rank and solve ----------------------------------------------------------
 
 
 def test_rank_known_values():
@@ -195,26 +341,6 @@ def test_solve_detects_inconsistency():
         solve_linear(a, b)
     with pytest.raises(DimensionMismatch):
         solve_linear(a, FieldMatrix.zeros(3, 1, F7))
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6), q=st.sampled_from([2, 7, 2147483647]))
-def test_invert_exactly_when_full_rank(seed, q):
-    field = make_field(q)
-    a = random_matrix(5, 5, field, seed)
-    if rank(a) == 5:
-        b = invert(a)
-        eye = FieldMatrix.identity(5, field)
-        assert a @ b == eye
-        assert b @ a == eye
-    else:
-        with pytest.raises(Singular):
-            invert(a)
-
-
-def test_invert_requires_square():
-    with pytest.raises(DimensionMismatch):
-        invert(FieldMatrix.zeros(2, 3, F7))
 
 
 def test_pivot_columns_count_rank_of_leading_columns():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sgcode.analysis import Infeasible
-from sgcode.exactmat import FieldMatrix, rank
+from sgcode.exactmat import FieldMatrix, Unsolvable, rank, solve_linear
 from sgcode.field import SeededRng, make_field
 from sgcode.keyspace import comb0, enumerate_groups
 from sgcode.scheme import (
@@ -29,6 +29,10 @@ from sgcode.scheme import (
     random_assignment,
     recommended_min_q,
     validate_assignment,
+    _coding_defect,
+    _forbidden_key_cols,
+    _nonholder_solution,
+    _sample_coding,
 )
 
 Q = make_field(2147483647)
@@ -187,6 +191,62 @@ def test_non_holder_key_rows_have_full_row_rank(small_scheme):
         )
         sub = small_scheme.c.data[rows][:, dims.n :]
         assert rank(FieldMatrix.wrap(sub.copy(), Q)) == len(dbar) * dims.r
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_nonholder_check_is_the_f2_solve(q):
+    # Over small fields the sampled key rows are often rank-deficient. The
+    # one solve per non-holder set must flag exactly the first set whose key
+    # rows lack full row rank, and otherwise yield the canonical F2 columns.
+    params = SchemeParams(K=2, N=4, Nr=4, M=2, S=2, q=make_field(q))
+    dims = derive_dims(params)
+    assignment = cyclic_assignment(params)
+    forbidden = _forbidden_key_cols(params, dims, enumerate_groups(4, 2))
+    sets = sorted({assignment.non_holders(k, 4) for k in (1, 2)}, key=sorted)
+    seen = set()
+    for seed in range(200):
+        arr = _sample_coding(params, dims, forbidden, SeededRng(seed))
+        defect, solutions = _coding_defect(arr, params, dims, assignment, params.q)
+        if defect is not None and defect.startswith("responder subset"):
+            continue
+        blocks = []
+        for dbar in sets:
+            rows = np.concatenate([np.arange((s - 1) * dims.r, s * dims.r) for s in sorted(dbar)])
+            blocks.append((dbar, arr[rows]))
+        full = [rank(FieldMatrix.wrap(b[:, dims.n :], params.q)) == b.shape[0] for _, b in blocks]
+        if all(full):
+            seen.add("solved")
+            assert defect is None and set(solutions) == set(sets)
+            for dbar, b in blocks:
+                want = solve_linear(
+                    FieldMatrix.wrap(b[:, dims.n :], params.q),
+                    FieldMatrix.wrap((-b[:, : dims.n]) % q, params.q),
+                )
+                assert np.array_equal(solutions[dbar], want.data)
+        else:
+            seen.add("defect")
+            first = sets[full.index(False)]
+            assert defect == f"key rows of non-holders {sorted(first)} lack full row rank"
+            assert solutions == {}
+    assert seen == {"solved", "defect"}
+
+
+def test_nonholder_check_flags_a_consistent_rank_deficient_system():
+    # A repeated non-holder row keeps C_Q X = -C_G solvable while the key
+    # rows lose full row rank; the check must still flag it.
+    scheme = build_scheme(SchemeParams(K=2, N=4, Nr=4, M=2, S=2, q=Q), seed=0)
+    dims = scheme.dims
+    dbar = scheme.assignment.non_holders(1, 4)
+    arr = scheme.c.data.copy()
+    first = (min(dbar) - 1) * dims.r
+    arr[first + 1] = arr[first]
+    rows = np.concatenate([np.arange((s - 1) * dims.r, s * dims.r) for s in sorted(dbar)])
+    solve_linear(
+        FieldMatrix.wrap(arr[rows][:, dims.n :], Q),
+        FieldMatrix.wrap((-arr[rows][:, : dims.n]) % Q.q, Q),
+    )
+    with pytest.raises(Unsolvable):
+        _nonholder_solution(arr, dims, dbar, Q)
 
 
 def test_construction_failure_when_field_too_small():
