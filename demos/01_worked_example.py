@@ -37,7 +37,7 @@ def main() -> None:
 
     print("key-column zero pattern in C (server, zero column):")
     for server in range(1, params.N + 1):
-        rows = scheme.coding.server_rows(server)
+        rows = dims.server_rows([server])
         zero_cols = [
             c
             for c in range(dims.n, scheme.c.cols)

@@ -16,7 +16,7 @@ import numpy as np
 
 from sgcode import build_scheme, certify, conditional_mi_rank, make_field
 from sgcode.exactmat import FieldMatrix
-from sgcode.scheme import DemandMatrix, SchemeParams
+from sgcode.scheme import SchemeParams, demand_pattern
 from sgcode.verifier import (
     LinearObservable,
     conditional_mi_direct,
@@ -45,8 +45,7 @@ def main() -> None:
     transcript = LinearObservable(
         FieldMatrix.wrap((tiny.c @ tiny.f).data.copy(), field)
     )
-    sum_rows = np.zeros((dims.n, dims.f_cols), dtype=np.int64)
-    sum_rows[:, :nk] = tiny.demand.f1.data
+    sum_rows = demand_pattern(dims, field)[: dims.n]
     gradient_rows = np.zeros((nk, dims.f_cols), dtype=np.int64)
     np.fill_diagonal(gradient_rows[:, :nk], 1)
     the_sum = LinearObservable(FieldMatrix.wrap(sum_rows, field))
@@ -64,20 +63,11 @@ def main() -> None:
     print()
 
     # Sabotage: drop one key from the transcript by zeroing its anchor in F3.
-    n, kc = scheme.dims.n, scheme.dims.key_cols
+    n = scheme.dims.n
     nk = n * scheme.params.K
     data = scheme.f.data.copy()
     data[n, nk] = 0
-    full = FieldMatrix.wrap(data, scheme.params.q)
-    sabotaged = dataclasses.replace(
-        scheme,
-        demand=DemandMatrix(
-            f1=full.take_rows(range(n)).take_cols(range(nk)),
-            f2=full.take_rows(range(n, n + kc)).take_cols(range(nk)),
-            f3=full.take_rows(range(n, n + kc)).take_cols(range(nk, nk + kc)),
-            matrix=full,
-        ),
-    )
+    sabotaged = dataclasses.replace(scheme, f=FieldMatrix.wrap(data, scheme.params.q))
     cert = certify(sabotaged)
     print("after zeroing one key anchor in F3:")
     print(f"  leakage: {cert.security_mi} symbol(s) per column")

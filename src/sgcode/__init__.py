@@ -10,7 +10,7 @@ Top-level surface:
 
 * :mod:`sgcode.field` - prime moduli, deterministic RNG, sampling.
 * :mod:`sgcode.exactmat` - exact dense matrices over GF(q).
-* :mod:`sgcode.keyspace` - server groups, availability, counting.
+* :mod:`sgcode.keyspace` - piece counts, key groups, coverage counts.
 * :mod:`sgcode.analysis` - communication cost, sweeps, optimality.
 * :mod:`sgcode.scheme` - scheme construction and serialization.
 * :mod:`sgcode.engine` - encoding, decoding, multi-round simulation.

@@ -11,7 +11,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .keyspace import comb0
+from .keyspace import comb0, piece_counts
 
 CSV_COLUMNS = (
     "axis",
@@ -42,8 +42,7 @@ def feasibility_violation(N: int, Nr: int, M: int, S: int) -> Optional[str]:
         return f"parameters outside range: N={N}, Nr={Nr}, M={M}, S={S}"
     if S < N - Nr + 2:
         return "feasibility S >= N-Nr+2 violated"
-    r = comb0(N, S) - comb0(M, S)
-    n = r * Nr - comb0(N, S) * (N - M)
+    r, n, _ = piece_counts(N, Nr, M, S)
     if r < 1 or n < 1:
         return "cost denominator r*Nr - C(N,S)*(N-M) is not positive"
     return None
@@ -55,8 +54,7 @@ def cost_R(N: int, Nr: int, M: int, S: int) -> Fraction:
     violation = feasibility_violation(N, Nr, M, S)
     if violation is not None:
         raise Infeasible(violation)
-    r = comb0(N, S) - comb0(M, S)
-    n = r * Nr - comb0(N, S) * (N - M)
+    r, n, _ = piece_counts(N, Nr, M, S)
     return Fraction(r, n)
 
 
@@ -74,7 +72,7 @@ def ratio_and_beta(N: int, Nr: int, M: int, S: int) -> Tuple[Fraction, Fraction]
     violation = feasibility_violation(N, Nr, M, S)
     if violation is not None:
         raise Infeasible(violation)
-    r = comb0(N, S) - comb0(M, S)
+    r, _, _ = piece_counts(N, Nr, M, S)
     beta = Fraction(comb0(N, S), r)
     ratio = Fraction(Nr - (N - M)) / (Nr - beta * (N - M))
     assert ratio == cost_R(N, Nr, M, S) / cost_Rn(N, Nr, M)

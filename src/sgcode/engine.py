@@ -41,8 +41,8 @@ class RoundState:
 
 @dataclass(frozen=True)
 class MessageVector:
-    """W with gradient piece (k, i) at 1-based row k + (i-1)K and key piece
-    (v, j) at row nK + v + (j-1)C(N,S)."""
+    """W, whose rows line up with F's columns as DerivedDims lays them out:
+    gradient pieces first, interleaved by dataset, then the key pieces."""
 
     matrix: FieldMatrix
     piece_len: int
@@ -58,8 +58,7 @@ class Transcript:
 
     def message(self, server: int) -> FieldMatrix:
         """The r x piece_len block X_n of a 1-based server."""
-        r = self.scheme.dims.r
-        return self.stacked.take_rows(range((server - 1) * r, server * r))
+        return self.stacked.take_rows(self.scheme.dims.server_rows([server]))
 
     @property
     def messages(self) -> Tuple[FieldMatrix, ...]:
@@ -108,25 +107,6 @@ def build_W(round_state: RoundState, scheme: SchemeArtifact) -> MessageVector:
     )
 
 
-def split_W(
-    w: MessageVector, scheme: SchemeArtifact
-) -> Tuple[FieldMatrix, FieldMatrix]:
-    """Inverse of build_W: recover (gradients, keys) from the layout."""
-    dims = scheme.dims
-    K = scheme.params.K
-    ell = w.piece_len
-    top = w.matrix.data[: dims.n * K].reshape(dims.n, K, ell)
-    grads = top.transpose(1, 0, 2).reshape(K, dims.n * ell)
-    bottom = w.matrix.data[dims.n * K :].reshape(
-        dims.alpha, dims.group_count, ell
-    )
-    keys = bottom.transpose(1, 0, 2).reshape(dims.group_count, dims.alpha * ell)
-    field = scheme.params.q
-    return FieldMatrix.wrap(grads.copy(), field), FieldMatrix.wrap(
-        keys.copy(), field
-    )
-
-
 def encode(
     scheme: SchemeArtifact, w: MessageVector, round_seed: Optional[int] = None
 ) -> Transcript:
@@ -151,11 +131,6 @@ def _responder_subset(
     return subset
 
 
-def _subset_rows(scheme: SchemeArtifact, subset: Tuple[int, ...]) -> np.ndarray:
-    r = scheme.dims.r
-    return np.concatenate([np.arange((s - 1) * r, s * r) for s in subset])
-
-
 def _decoder(scheme: SchemeArtifact) -> SubsetDecoder:
     """Piece sums from any responder subset's stacked messages."""
     p = scheme.params
@@ -169,7 +144,7 @@ def decode(
     n rows of C_U^-1 X_U are the piece sums. Raises exactmat.Singular naming
     the subset when C_U, or the first subset's C_U0, is singular."""
     subset = _responder_subset(scheme, responders)
-    x_u = transcript.stacked.data[_subset_rows(scheme, subset)]
+    x_u = transcript.stacked.data[scheme.dims.server_rows(subset)]
     y = _decoder(scheme)(subset, x_u)
     return FieldMatrix.wrap(y.reshape(1, y.size), scheme.params.q)
 
@@ -295,7 +270,7 @@ def simulate_rounds(
             cols = np.concatenate(
                 [np.arange(pos * ell, (pos + 1) * ell) for pos in positions]
             )
-            y = decoder(subset, x_big[np.ix_(_subset_rows(scheme, subset), cols)])
+            y = decoder(subset, x_big[np.ix_(dims.server_rows(subset), cols)])
             for i, pos in enumerate(positions):
                 piece = y[:, i * ell : (i + 1) * ell]
                 decoded[pos] = FieldMatrix.wrap(

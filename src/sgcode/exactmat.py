@@ -1,5 +1,5 @@
-"""Dense exact matrices over GF(q): rank, canonical linear solve, the
-responder-subset invertibility scan and subset decoder, and block assembly.
+"""Dense exact matrices over GF(q): rank, canonical linear solve, and the
+responder-subset invertibility scan and subset decoder.
 Every result is exact integer arithmetic; large int64 products run their
 16-bit limbs through float64 BLAS only where every sum is an integer below
 2^53 (see the kernel notes)."""
@@ -53,7 +53,8 @@ class Singular(ValueError):
 #   below that size; the transcript product and encode of an N = 8 scheme
 #   sit far above it. The two paths give identical results, and the
 #   threshold is where they cost the same. Any other int64 product, with
-#   k > 2^21 (or k > 2^16 below the threshold), runs on Python integers.
+#   k > 2^21 (or k > 2^16 below the threshold), runs on Python integers and
+#   comes back as int64.
 
 _F64_MIN_MAC = 1 << 15
 _F64_MAX_INNER = 1 << 21
@@ -168,6 +169,7 @@ def _matmul_kernel(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
             hi = (a >> 16) @ b % q
             lo = (a & 0xFFFF) @ b % q
             return (hi * 65536 + lo) % q
+        return _matmul_kernel(a.astype(object), b, q).astype(np.int64)
     return np.dot(a.astype(object), b.astype(object)) % q
 
 
@@ -494,29 +496,3 @@ def solve_linear(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     for i, c in enumerate(pivots):
         x[c, :] = aug[i, a.cols:]
     return FieldMatrix(x, a.modulus)
-
-
-def assemble_blocks(layout: Sequence[Sequence[FieldMatrix]]) -> FieldMatrix:
-    """Exact block concatenation; no entry reordering.
-
-    Every block row must share a height, every block column a width, and all
-    blocks the modulus.
-    """
-    if not layout or any(not row for row in layout):
-        raise DimensionMismatch("empty block layout")
-    field = layout[0][0].modulus
-    widths = [b.cols for b in layout[0]]
-    for row in layout:
-        if len(row) != len(widths):
-            raise DimensionMismatch("ragged block grid")
-        for block, width in zip(row, widths):
-            if block.modulus != field:
-                raise ValueError("mixed moduli")
-            if block.cols != width:
-                raise DimensionMismatch("block column widths differ")
-        if any(b.rows != row[0].rows for b in row):
-            raise DimensionMismatch("block row heights differ")
-    stacked = np.concatenate(
-        [np.concatenate([b.data for b in row], axis=1) for row in layout], axis=0
-    )
-    return FieldMatrix(stacked, field)

@@ -33,7 +33,8 @@ class NotPrime(ValueError):
 
 
 class TooLarge(ValueError):
-    """Raised when a requested modulus exceeds the supported range."""
+    """Raised when a requested modulus, enumeration or matrix exceeds the
+    supported size."""
 
 
 class DivisionByZero(ZeroDivisionError):

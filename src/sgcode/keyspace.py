@@ -1,5 +1,5 @@
-"""Combinatorics of the groupwise keys: lexicographic indexing of the
-S-subsets of [N], per-server availability, and the intersection-counting
+"""Combinatorics of the groupwise keys: the derived piece counts,
+lexicographic indexing of the S-subsets of [N], and the intersection-counting
 identities with their brute-force oracle. External surfaces are 1-based."""
 
 from __future__ import annotations
@@ -7,14 +7,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Tuple
-
-if TYPE_CHECKING:
-    from .scheme import SchemeParams
+from typing import Dict, Iterable, Tuple
 
 
 class InvalidParams(ValueError):
-    """Group enumeration asked for an impossible (N, S)."""
+    """A key-space query named an impossible (N, S), server or subset size."""
 
 
 def comb0(x: int, y: int) -> int:
@@ -51,13 +48,6 @@ class KeyGroupIndex:
         return len(self.groups)
 
 
-@dataclass(frozen=True)
-class Availability:
-    """per_server[n] = the 1-based group indices whose group contains n."""
-
-    per_server: Dict[int, FrozenSet[int]]
-
-
 def enumerate_groups(N: int, S: int) -> KeyGroupIndex:
     """Complete, duplicate-free, lexicographically sorted S-subset listing."""
     if N < 1 or not 1 <= S <= N:
@@ -65,15 +55,6 @@ def enumerate_groups(N: int, S: int) -> KeyGroupIndex:
     groups = tuple(combinations(range(1, N + 1), S))
     index_of = {g: i + 1 for i, g in enumerate(groups)}
     return KeyGroupIndex(N=N, S=S, groups=groups, index_of=index_of)
-
-
-def availability(index: KeyGroupIndex) -> Availability:
-    """Per-server sets of available key groups; each has C(N-1, S-1) entries."""
-    sets: Dict[int, set] = {n: set() for n in range(1, index.N + 1)}
-    for i, g in enumerate(index.groups, start=1):
-        for server in g:
-            sets[server].add(i)
-    return Availability({n: frozenset(s) for n, s in sets.items()})
 
 
 def omega_closed(N: int, S: int, subset_size: int) -> int:
@@ -99,21 +80,3 @@ def omega_bruteforce(index: KeyGroupIndex, servers: Iterable[int]) -> int:
     if not wanted <= set(range(1, index.N + 1)):
         raise InvalidParams("servers outside [N]")
     return sum(1 for g in index.groups if wanted.intersection(g))
-
-
-def unavailable_key_columns(
-    params: "SchemeParams", index: KeyGroupIndex, server: int
-) -> FrozenSet[int]:
-    """1-based demand-matrix columns of key pieces invisible to the server:
-    {n*K + i + (j-1)*C(N,S) : group i excludes the server, j in [alpha]}."""
-    if not 1 <= server <= params.N:
-        raise InvalidParams(f"server {server} outside [1, {params.N}]")
-    _, n, alpha = piece_counts(params.N, params.Nr, params.M, params.S)
-    group_count = len(index.groups)
-    base = n * params.K
-    missing = [
-        i for i, g in enumerate(index.groups, start=1) if server not in g
-    ]
-    return frozenset(
-        base + i + (j - 1) * group_count for i in missing for j in range(1, alpha + 1)
-    )

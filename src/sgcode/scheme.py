@@ -6,28 +6,28 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .analysis import Infeasible, feasibility_violation
-from .exactmat import (
-    FieldMatrix,
-    Unsolvable,
-    assemble_blocks,
-    first_singular_subset,
-    solve_linear,
+from .exactmat import FieldMatrix, Unsolvable, first_singular_subset, solve_linear
+from .field import (
+    FieldModulus,
+    SeededRng,
+    TooLarge,
+    make_field,
+    sample_array,
+    uniform_ints,
 )
-from .field import FieldModulus, SeededRng, make_field, sample_array, uniform_ints
-from .keyspace import (
-    KeyGroupIndex,
-    availability,
-    comb0,
-    enumerate_groups,
-    piece_counts,
-)
+from .keyspace import InvalidParams, comb0, enumerate_groups, piece_counts
 
 RETRY_LIMIT = 32
+
+# build_scheme refuses a tuple whose C or F would hold more entries than
+# this, before it allocates either.
+MAX_MATRIX_ENTRIES = 1 << 26
 
 FORMAT_VERSION = 1
 
@@ -73,9 +73,22 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class DerivedDims:
-    """Sizes hanging off the parameter tuple: r message rows per server,
-    n gradient pieces, alpha key pieces, and the demand-matrix shape."""
+    """The layout map of a parameter tuple: the sizes r (message rows per
+    server), n (gradient pieces) and alpha (key pieces per group), the
+    demand shape f_rows x f_cols, and where each index fact puts its rows
+    and columns. All indices are 0-based; servers and datasets are 1-based.
 
+    - Server s owns rows (s-1)r .. sr-1 of C and of the transcript X.
+    - Piece i of dataset k is F column and W row (k-1) + iK.
+    - Piece j of the key of group g (the g-th lexicographic S-subset) sits
+      at offset j*C(N,S) + g of the key block: C column n + offset, F
+      column and W row nK + offset. Servers outside the group must not
+      touch it.
+    """
+
+    K: int
+    N: int
+    S: int
     r: int
     n: int
     alpha: int
@@ -91,6 +104,35 @@ class DerivedDims:
     def group_count(self) -> int:
         return self.key_cols // self.alpha
 
+    def server_rows(self, servers: Iterable[int]) -> np.ndarray:
+        """Row indices of C and X of the servers' blocks, in the given order."""
+        s = np.fromiter(servers, dtype=np.intp)
+        return ((s[:, None] - 1) * self.r + np.arange(self.r)).reshape(-1)
+
+    def gradient_columns(self, dataset: int) -> List[int]:
+        """F columns and W rows of the dataset's pieces."""
+        return [(dataset - 1) + i * self.K for i in range(self.n)]
+
+    def hidden_key_offsets(self, server: int) -> np.ndarray:
+        """Ascending key-block offsets of the key pieces the server lacks."""
+        if not 1 <= server <= self.N:
+            raise InvalidParams(f"server {server} outside [1, {self.N}]")
+        return self._hidden_key_offsets[server - 1]
+
+    @cached_property
+    def _hidden_key_offsets(self) -> Tuple[np.ndarray, ...]:
+        # Enumerated on first use, so that sizing a tuple never lists its
+        # C(N,S) groups.
+        groups = enumerate_groups(self.N, self.S).groups
+        copies = np.arange(self.alpha, dtype=np.intp)[:, None] * len(groups)
+        out = []
+        for server in range(1, self.N + 1):
+            missing = [g for g, members in enumerate(groups) if server not in members]
+            offsets = (copies + np.array(missing, dtype=np.intp)).reshape(-1)
+            offsets.flags.writeable = False
+            out.append(offsets)
+        return tuple(out)
+
 
 def derive_dims(params: SchemeParams) -> DerivedDims:
     """Compute (r, n, alpha) and the demand shape; r/n is never reduced."""
@@ -98,52 +140,24 @@ def derive_dims(params: SchemeParams) -> DerivedDims:
     if violation is not None:
         raise Infeasible(violation)
     r, n, alpha = piece_counts(params.N, params.Nr, params.M, params.S)
-    groups = comb0(params.N, params.S)
+    keys = alpha * comb0(params.N, params.S)
     dims = DerivedDims(
+        K=params.K,
+        N=params.N,
+        S=params.S,
         r=r,
         n=n,
         alpha=alpha,
-        f_rows=n + alpha * groups,
-        f_cols=n * params.K + alpha * groups,
+        f_rows=n + keys,
+        f_cols=n * params.K + keys,
     )
     assert dims.f_rows == r * params.Nr
     return dims
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Outcome of every feasibility inequality, with witnesses on failure."""
-
-    passed: bool
-    failures: Tuple[str, ...]
-
-
-def check_feasibility(params: SchemeParams) -> FeasibilityReport:
-    """Check the subset-size condition, positivity, and the per-size
-    counting inequalities behind encodability and decodability."""
-    N, Nr, M, S = params.N, params.Nr, params.M, params.S
-    failures: List[str] = []
-    if S < N - Nr + 2:
-        failures.append(f"S >= N-Nr+2 fails: S={S} < {N - Nr + 2}")
-    r, n, alpha = piece_counts(N, Nr, M, S)
-    if r < 1:
-        failures.append(f"message row count r={r} is not positive")
-    if n < 1:
-        failures.append(f"gradient piece count n={n} is not positive")
-    if r >= 1 and n >= 1:
-        for x in range(1, N - M + 1):
-            omega = comb0(N, S) - comb0(N - x, S)
-            if alpha * omega < r * x:
-                failures.append(
-                    f"encodability count fails at x={x}: {alpha}*{omega} < {r}*{x}"
-                )
-        for x in range(1, Nr + 1):
-            omega = comb0(N, S) - comb0(N - x, S)
-            if n + alpha * omega < r * x:
-                failures.append(
-                    f"decodability count fails at x={x}: {n}+{alpha}*{omega} < {r}*{x}"
-                )
-    return FeasibilityReport(passed=not failures, failures=tuple(failures))
+def gradient_columns(dims: DerivedDims, params: SchemeParams, dataset: int) -> List[int]:
+    """DerivedDims.gradient_columns as a free function."""
+    return dims.gradient_columns(dataset)
 
 
 # ---- data assignment --------------------------------------------------------
@@ -230,49 +244,6 @@ def validate_assignment(
 # ---- coding matrix ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CodingMatrix:
-    """Stacked per-server encoder C = [C_G | C_Q], r rows per server; the key
-    block C_Q is zero wherever the key group excludes the server."""
-
-    matrix: FieldMatrix
-    r: int
-    n: int
-
-    def server_rows(self, server: int) -> np.ndarray:
-        """0-based row indices of the 1-based server's block."""
-        return np.arange((server - 1) * self.r, server * self.r)
-
-    @property
-    def free_block(self) -> FieldMatrix:
-        return self.matrix.take_cols(range(self.n))
-
-    @property
-    def key_block(self) -> FieldMatrix:
-        return self.matrix.take_cols(range(self.n, self.matrix.cols))
-
-
-def _forbidden_key_cols(
-    params: SchemeParams, dims: DerivedDims, index: KeyGroupIndex
-) -> Dict[int, np.ndarray]:
-    """Per server, the 0-based columns of C that must vanish: key piece
-    (i, j) sits at column n + (j-1)*C(N,S) + (i-1)."""
-    avail = availability(index)
-    out: Dict[int, np.ndarray] = {}
-    for server in range(1, params.N + 1):
-        missing = [
-            i for i in range(1, dims.group_count + 1)
-            if i not in avail.per_server[server]
-        ]
-        cols = [
-            dims.n + j * dims.group_count + (i - 1)
-            for j in range(dims.alpha)
-            for i in missing
-        ]
-        out[server] = np.array(cols, dtype=np.intp)
-    return out
-
-
 def _distinct_nonholder_sets(
     params: SchemeParams, assignment: DataAssignment
 ) -> List[FrozenSet[int]]:
@@ -284,17 +255,14 @@ def _distinct_nonholder_sets(
 
 
 def _sample_coding(
-    params: SchemeParams,
-    dims: DerivedDims,
-    forbidden: Dict[int, np.ndarray],
-    rng: SeededRng,
+    params: SchemeParams, dims: DerivedDims, rng: SeededRng
 ) -> np.ndarray:
+    """Uniform C, zero in every server's rows at its hidden key columns."""
     arr = sample_array(rng, params.q, dims.r * params.N * dims.f_rows)
     arr = arr.reshape(dims.r * params.N, dims.f_rows)
     for server in range(1, params.N + 1):
-        cols = forbidden[server]
-        if cols.size:
-            arr[(server - 1) * dims.r : server * dims.r, cols] = 0
+        cols = dims.n + dims.hidden_key_offsets(server)
+        arr[np.ix_(dims.server_rows([server]), cols)] = 0
     return arr
 
 
@@ -309,9 +277,7 @@ def _nonholder_solution(
     solvable exactly then, and leave the canonical solution of the other
     columns unchanged, so one elimination both checks the rank and solves.
     """
-    rows = np.concatenate(
-        [np.arange((s - 1) * dims.r, s * dims.r) for s in sorted(dbar)]
-    )
+    rows = dims.server_rows(sorted(dbar))
     sub = arr[rows]
     rhs = np.concatenate(
         [(-sub[:, : dims.n]) % field.q, np.eye(rows.size, dtype=sub.dtype)], axis=1
@@ -364,18 +330,13 @@ def _build_coding(
     dims: DerivedDims,
     assignment: DataAssignment,
     rng: SeededRng,
-) -> Tuple[CodingMatrix, int, Dict[FrozenSet[int], np.ndarray]]:
-    index = enumerate_groups(params.N, params.S)
-    forbidden = _forbidden_key_cols(params, dims, index)
+) -> Tuple[FieldMatrix, int, Dict[FrozenSet[int], np.ndarray]]:
     defect: Optional[str] = "no attempt made"
     for attempt in range(RETRY_LIMIT):
-        arr = _sample_coding(params, dims, forbidden, rng.spawn(f"sample-{attempt}"))
+        arr = _sample_coding(params, dims, rng.spawn(f"sample-{attempt}"))
         defect, solutions = _coding_defect(arr, params, dims, assignment, params.q)
         if defect is None:
-            coding = CodingMatrix(
-                matrix=FieldMatrix.wrap(arr, params.q), r=dims.r, n=dims.n
-            )
-            return coding, attempt, solutions
+            return FieldMatrix.wrap(arr, params.q), attempt, solutions
     raise ConstructionFailed(
         f"{RETRY_LIMIT} attempts failed (last: {defect}); "
         f"q={params.q.q} is below the recommended minimum "
@@ -386,53 +347,47 @@ def _build_coding(
 # ---- demand matrix ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DemandMatrix:
-    """F = [F1 0; F2 F3]: F1 extracts piece sums, F2 carries the solved key
-    coefficients, F3 stays the identity."""
-
-    f1: FieldMatrix
-    f2: FieldMatrix
-    f3: FieldMatrix
-    matrix: FieldMatrix
-
-
-def gradient_columns(dims: DerivedDims, params: SchemeParams, dataset: int) -> List[int]:
-    """0-based F columns of the dataset's pieces: 1-based {k + (i-1)K}."""
-    return [(dataset - 1) + i * params.K for i in range(dims.n)]
+def demand_pattern(dims: DerivedDims, field: FieldModulus) -> np.ndarray:
+    """F with its fixed blocks in place and F2 = 0: row i of F1 is 1 on the
+    K columns of piece i, the upper-right block is zero, and F3 = I."""
+    f = np.zeros((dims.f_rows, dims.f_cols), dtype=field.dtype())
+    nk = np.arange(dims.n * dims.K)
+    f[nk // dims.K, nk] = 1
+    f[np.arange(dims.n, dims.f_rows), np.arange(nk.size, dims.f_cols)] = 1
+    return f
 
 
-def _f1_array(dims: DerivedDims, params: SchemeParams) -> np.ndarray:
-    arr = np.zeros((dims.n, dims.n * params.K), dtype=params.q.dtype())
-    for i in range(dims.n):
-        arr[i, i * params.K : (i + 1) * params.K] = 1
-    return arr
-
-
-def _demand_matrix(
+def _demand(
     params: SchemeParams,
     dims: DerivedDims,
     assignment: DataAssignment,
     solutions: Dict[FrozenSet[int], np.ndarray],
-) -> DemandMatrix:
-    """F1 by pattern, F3 = identity, and F2's columns from the solutions.
+) -> FieldMatrix:
+    """The fixed pattern with F2's columns filled in from the solutions.
 
     Because F1 restricted to a dataset's columns is the identity, the F2
     columns of dataset k solve C_Q(non-holder rows) X = -C_G(non-holder
     rows), which depends on k only through its non-holder set; solutions
     holds one canonical solution per set (_nonholder_solution)."""
-    f1 = FieldMatrix.wrap(_f1_array(dims, params), params.q)
-    f2_arr = np.zeros((dims.key_cols, dims.n * params.K), dtype=params.q.dtype())
+    f = demand_pattern(dims, params.q)
     for k in range(1, params.K + 1):
         dbar = assignment.non_holders(k, params.N)
         if dbar:
-            f2_arr[:, gradient_columns(dims, params, k)] = solutions[dbar]
-    f2 = FieldMatrix.wrap(f2_arr, params.q)
-    f3 = FieldMatrix.identity(dims.key_cols, params.q)
-    zero = FieldMatrix.zeros(dims.n, dims.key_cols, params.q)
-    return DemandMatrix(
-        f1=f1, f2=f2, f3=f3, matrix=assemble_blocks([[f1, zero], [f2, f3]])
-    )
+            f[dims.n :, dims.gradient_columns(k)] = solutions[dbar]
+    return FieldMatrix.wrap(f, params.q)
+
+
+def _check_fixed_blocks(f: np.ndarray, dims: DerivedDims, field: FieldModulus) -> None:
+    """ParseError naming the first fixed block of F that breaks the pattern."""
+    pattern = demand_pattern(dims, field)
+    n, nk = dims.n, dims.n * dims.K
+    for block, message in (
+        (np.s_[:n, :nk], "F1 is not the piece-sum pattern"),
+        (np.s_[:n, nk:], "upper-right block of F is not zero"),
+        (np.s_[n:, nk:], "F3 is not the identity"),
+    ):
+        if not np.array_equal(f[block], pattern[block]):
+            raise ParseError(message)
 
 
 # ---- full scheme ------------------------------------------------------------
@@ -440,24 +395,17 @@ def _demand_matrix(
 
 @dataclass(frozen=True)
 class SchemeArtifact:
-    """A built scheme: parameters, dimensions, assignment, both matrices,
-    and the randomness bookkeeping that reproduces them."""
+    """A built scheme: parameters, dimensions, assignment, the coding
+    matrix C, the demand matrix F, and the randomness bookkeeping that
+    reproduces them."""
 
     params: SchemeParams
     dims: DerivedDims
     assignment: DataAssignment
-    coding: CodingMatrix
-    demand: DemandMatrix
+    c: FieldMatrix
+    f: FieldMatrix
     seed: int
     retries_used: int
-
-    @property
-    def c(self) -> FieldMatrix:
-        return self.coding.matrix
-
-    @property
-    def f(self) -> FieldMatrix:
-        return self.demand.matrix
 
 
 def build_scheme(
@@ -466,22 +414,29 @@ def build_scheme(
     seed: int = 0,
 ) -> SchemeArtifact:
     """derive_dims, then construct C and F; deterministic in
-    (params, assignment, seed)."""
+    (params, assignment, seed). Raises TooLarge, before allocating either,
+    when C or F would hold more than MAX_MATRIX_ENTRIES entries."""
     dims = derive_dims(params)
+    c_entries = dims.r * params.N * dims.f_rows
+    f_entries = dims.f_rows * dims.f_cols
+    if max(c_entries, f_entries) > MAX_MATRIX_ENTRIES:
+        raise TooLarge(
+            f"C would hold {c_entries} entries and F {f_entries}, "
+            f"above the cap of {MAX_MATRIX_ENTRIES}"
+        )
     if assignment is None:
         assignment = cyclic_assignment(params)
     violations = validate_assignment(params, assignment)
     if violations:
         raise BadAssignment("; ".join(violations))
     rng = SeededRng(seed).spawn("coding")
-    coding, retries, solutions = _build_coding(params, dims, assignment, rng)
-    demand = _demand_matrix(params, dims, assignment, solutions)
+    c, retries, solutions = _build_coding(params, dims, assignment, rng)
     return SchemeArtifact(
         params=params,
         dims=dims,
         assignment=assignment,
-        coding=coding,
-        demand=demand,
+        c=c,
+        f=_demand(params, dims, assignment, solutions),
         seed=seed,
         retries_used=retries,
     )
@@ -544,18 +499,13 @@ def artifact_from_json_dict(obj: dict) -> SchemeArtifact:
         raise ParseError(f"C shape {c_mat.shape} does not match parameters")
     if f_mat.shape != (dims.f_rows, dims.f_cols):
         raise ParseError(f"F shape {f_mat.shape} does not match parameters")
-    nk = dims.n * params.K
-    f1 = f_mat.take_rows(range(dims.n)).take_cols(range(nk))
-    f2 = f_mat.take_rows(range(dims.n, dims.f_rows)).take_cols(range(nk))
-    f3 = f_mat.take_rows(range(dims.n, dims.f_rows)).take_cols(
-        range(nk, dims.f_cols)
-    )
+    _check_fixed_blocks(f_mat.data, dims, field)
     return SchemeArtifact(
         params=params,
         dims=dims,
         assignment=assignment,
-        coding=CodingMatrix(matrix=c_mat, r=dims.r, n=dims.n),
-        demand=DemandMatrix(f1=f1, f2=f2, f3=f3, matrix=f_mat),
+        c=c_mat,
+        f=f_mat,
         seed=seed,
         retries_used=retries,
     )

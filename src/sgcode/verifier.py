@@ -16,8 +16,8 @@ import numpy as np
 
 from .exactmat import FieldMatrix, first_singular_subset, pivot_columns, rank
 from .field import TooLarge
-from .keyspace import comb0, enumerate_groups, unavailable_key_columns
-from .scheme import SchemeArtifact, SchemeParams, derive_dims, gradient_columns
+from .keyspace import comb0
+from .scheme import SchemeArtifact, SchemeParams, demand_pattern, derive_dims
 
 BRUTE_FORCE_LIMIT = 10**6
 
@@ -73,24 +73,17 @@ def verify_encodability(scheme: SchemeArtifact) -> EncodabilityReport:
 
 def _encodability(scheme: SchemeArtifact, p: np.ndarray) -> EncodabilityReport:
     params, dims = scheme.params, scheme.dims
-    index = enumerate_groups(params.N, params.S)
     violations: List[str] = []
     for k in range(1, params.K + 1):
-        cols = gradient_columns(dims, params, k)
+        cols = dims.gradient_columns(k)
         for server in sorted(scheme.assignment.non_holders(k, params.N)):
-            block = p[(server - 1) * dims.r : server * dims.r][:, cols]
-            if np.any(block):
+            if np.any(p[dims.server_rows([server])][:, cols]):
                 violations.append(
                     f"server {server} touches unassigned dataset {k}"
                 )
     for server in range(1, params.N + 1):
-        cols = sorted(
-            c - 1 for c in unavailable_key_columns(params, index, server)
-        )
-        if not cols:
-            continue
-        block = p[(server - 1) * dims.r : server * dims.r][:, cols]
-        if np.any(block):
+        cols = dims.n * params.K + dims.hidden_key_offsets(server)
+        if np.any(p[dims.server_rows([server])][:, cols]):
             violations.append(f"server {server} touches an unavailable key")
     return EncodabilityReport(tuple(violations))
 
@@ -104,10 +97,7 @@ def _transcript_coeff(scheme: SchemeArtifact) -> np.ndarray:
 
 def _sum_coeff(scheme: SchemeArtifact) -> np.ndarray:
     """[F1 | 0]: the piece sums as a function of the message variables."""
-    dims = scheme.dims
-    out = np.zeros((dims.n, dims.f_cols), dtype=scheme.params.q.dtype())
-    out[:, : dims.n * scheme.params.K] = scheme.demand.f1.data
-    return out
+    return demand_pattern(scheme.dims, scheme.params.q)[: scheme.dims.n]
 
 
 def _gradient_coeff(scheme: SchemeArtifact) -> np.ndarray:
@@ -179,17 +169,13 @@ class DeterminismReport:
 
 
 def verify_transcript_determinism(scheme: SchemeArtifact) -> DeterminismReport:
-    dims = scheme.dims
     a = _transcript_coeff(scheme)
     field = scheme.params.q
     total = rank(FieldMatrix.wrap(a.copy(), field))
     checked = 0
     for subset in combinations(range(1, scheme.params.N + 1), scheme.params.Nr):
-        rows = np.concatenate(
-            [np.arange((s - 1) * dims.r, s * dims.r) for s in subset]
-        )
         checked += 1
-        if rank(FieldMatrix.wrap(a[rows], field)) != total:
+        if rank(FieldMatrix.wrap(a[scheme.dims.server_rows(subset)], field)) != total:
             return DeterminismReport(total, checked, False, subset)
     return DeterminismReport(total, checked, True, None)
 

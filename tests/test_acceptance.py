@@ -39,7 +39,6 @@ from sgcode.keyspace import (
 )
 from sgcode.scheme import (
     DataAssignment,
-    DemandMatrix,
     SchemeArtifact,
     SchemeParams,
     build_scheme,
@@ -132,27 +131,15 @@ def twelve_digits(value: Fraction) -> str:
 def corrupt_coding_entry(scheme: SchemeArtifact) -> SchemeArtifact:
     data = scheme.c.data.copy()
     data[0, 0] = (int(data[0, 0]) + 1) % scheme.params.q.q
-    coding = dataclasses.replace(
-        scheme.coding, matrix=FieldMatrix.wrap(data, scheme.params.q)
-    )
-    return dataclasses.replace(scheme, coding=coding)
+    return dataclasses.replace(scheme, c=FieldMatrix.wrap(data, scheme.params.q))
 
 
 def corrupt_demand_entry(
     scheme: SchemeArtifact, row: int, col: int, value: int
 ) -> SchemeArtifact:
-    n, kc = scheme.dims.n, scheme.dims.key_cols
-    nk = n * scheme.params.K
     data = scheme.f.data.copy()
     data[row, col] = value
-    full = FieldMatrix.wrap(data, scheme.params.q)
-    demand = DemandMatrix(
-        f1=full.take_rows(range(n)).take_cols(range(nk)),
-        f2=full.take_rows(range(n, n + kc)).take_cols(range(nk)),
-        f3=full.take_rows(range(n, n + kc)).take_cols(range(nk, nk + kc)),
-        matrix=full,
-    )
-    return dataclasses.replace(scheme, demand=demand)
+    return dataclasses.replace(scheme, f=FieldMatrix.wrap(data, scheme.params.q))
 
 
 # ---- criteria ---------------------------------------------------------------
@@ -184,7 +171,7 @@ def test_criterion_1_worked_example_reproduction():
             if server not in group
         ]
         assert cols == [expected_cols[server]]
-        block = scheme.c.data[scheme.coding.server_rows(server)][:, cols]
+        block = scheme.c.data[scheme.dims.server_rows([server])][:, cols]
         assert not np.any(block)
 
     # Server 1 must not touch dataset 1: C_1 F(:, G_1) is the 2x3 zero block.

@@ -146,6 +146,14 @@ def test_build_rejects_infeasible_parameters(tmp_path, capsys):
     assert main(args) == EXIT_INFEASIBLE
 
 
+def test_build_refuses_oversized_tuple(tmp_path, capsys):
+    args = ["build", "--K", "24", "--N", "20", "--Nr", "18", "--M", "10", "--S", "8",
+            "--out", str(tmp_path / "x.json")]
+    assert main(args) == EXIT_INFEASIBLE
+    assert "above the cap" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_build_reports_construction_failure(tmp_path, capsys):
     # Over GF(2) with seed 0 every retry produces a singular responder stack.
     args = ["build", "--K", "1", "--N", "5", "--Nr", "5", "--M", "1", "--S", "2",
@@ -181,6 +189,23 @@ def test_verify_detects_tampered_artifact(tmp_path, capsys):
     cert_out = tmp_path / "tampered.cert.json"
     assert main(["verify", str(path), "--out", str(cert_out)]) == EXIT_VERIFY
     assert json.loads(cert_out.read_text())["passed"] is False
+
+
+@pytest.mark.parametrize("weights", [(2, 2, 2), (1, 2, 3)])
+def test_verify_rejects_f_outside_the_pattern(tmp_path, capsys, weights):
+    # Scaling dataset k's columns of F by weights[k-1] changes F1 and F2
+    # together; both are negative controls for the fixed F1 pattern.
+    path = build_artifact(tmp_path)
+    payload = json.loads(path.read_text())
+    cols = payload["F"]["cols"]
+    data = payload["F"]["data"]
+    for i, entry in enumerate(data):
+        col = i % cols
+        if col < 9:  # n*K = 3*3 gradient columns; dataset of col is col % K + 1
+            data[i] = str(int(entry) * weights[col % 3] % 2147483647)
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == EXIT_IO
+    assert "parse error: F1 is not the piece-sum pattern" in capsys.readouterr().err
 
 
 def test_verify_missing_file(capsys):

@@ -28,12 +28,11 @@ from sgcode.engine import (
     rotating_responders,
     sample_round,
     simulate_rounds,
-    split_W,
 )
 from sgcode.exactmat import FieldMatrix, Singular, solve_linear
 from sgcode.field import SeededRng, make_field
-from sgcode.keyspace import enumerate_groups, unavailable_key_columns
-from sgcode.scheme import DataAssignment, SchemeParams, build_scheme, gradient_columns
+from sgcode.keyspace import enumerate_groups
+from sgcode.scheme import DataAssignment, SchemeParams, build_scheme
 
 Q = make_field(2147483647)
 P31, P61 = 2147483647, (1 << 61) - 1
@@ -97,12 +96,31 @@ def test_message_layout_interleaves_pieces(scheme):
     assert rows[11] == [301, 302]
 
 
+def assert_W_follows_layout(w: MessageVector, state: RoundState, scheme):
+    """Read gradients and keys back from W through the layout map: dataset
+    k's rows are gradient_columns(k), and the rows nK + hidden_key_offsets(s)
+    hold, in order, the key pieces of the groups that exclude server s."""
+    dims = scheme.dims
+    data, ell, nk = w.matrix.data, w.piece_len, dims.n * dims.K
+    for k in range(1, dims.K + 1):
+        got = data[dims.gradient_columns(k)].reshape(-1)
+        assert np.array_equal(got, state.gradients.data[k - 1])
+    groups = enumerate_groups(scheme.params.N, scheme.params.S).groups
+    pieces = state.keys.data.reshape(len(groups), dims.alpha, ell)
+    for server in range(1, scheme.params.N + 1):
+        want = [
+            pieces[g, j]
+            for j in range(dims.alpha)
+            for g, members in enumerate(groups)
+            if server not in members
+        ]
+        got = data[nk + dims.hidden_key_offsets(server)]
+        assert np.array_equal(got, np.array(want).reshape(-1, ell))
+
+
 def test_split_W_inverts_build_W(scheme):
     state = sample_round(scheme, 12, SeededRng(5))
-    w = build_W(state, scheme)
-    grads, keys = split_W(w, scheme)
-    assert grads == state.gradients
-    assert keys == state.keys
+    assert_W_follows_layout(build_W(state, scheme), state, scheme)
 
 
 def test_split_W_inverts_with_multiple_key_pieces():
@@ -110,10 +128,7 @@ def test_split_W_inverts_with_multiple_key_pieces():
     scheme = build_scheme(params, seed=0)
     assert scheme.dims.alpha == 2
     state = sample_round(scheme, scheme.dims.n * 3, SeededRng(5))
-    w = build_W(state, scheme)
-    grads, keys = split_W(w, scheme)
-    assert grads == state.gradients
-    assert keys == state.keys
+    assert_W_follows_layout(build_W(state, scheme), state, scheme)
 
 
 # ---- encoding ----------------------------------------------------------------
@@ -142,14 +157,12 @@ def test_encode_uses_only_local_data(scheme):
     params, dims = scheme.params, scheme.dims
     state = sample_round(scheme, 6, SeededRng(3))
     w_full = build_W(state, scheme)
-    index = enumerate_groups(params.N, params.S)
     for server in range(1, params.N + 1):
         masked = np.array(w_full.matrix.data)
         for k in range(1, params.K + 1):
             if server not in scheme.assignment.holders(k):
-                masked[gradient_columns(dims, params, k)] = 0
-        for col in unavailable_key_columns(params, index, server):
-            masked[col - 1] = 0
+                masked[dims.gradient_columns(k)] = 0
+        masked[dims.n * params.K + dims.hidden_key_offsets(server)] = 0
         w_masked = MessageVector(
             matrix=FieldMatrix.wrap(masked, params.q), piece_len=2
         )
@@ -197,10 +210,7 @@ def with_server_block(scheme, server, source):
     r = scheme.dims.r
     data = scheme.c.data.copy()
     data[(server - 1) * r : server * r] = data[(source - 1) * r : source * r]
-    matrix = FieldMatrix.wrap(data, scheme.params.q)
-    return dataclasses.replace(
-        scheme, coding=dataclasses.replace(scheme.coding, matrix=matrix)
-    )
+    return dataclasses.replace(scheme, c=FieldMatrix.wrap(data, scheme.params.q))
 
 
 @pytest.mark.parametrize("pieces", [0, 2])

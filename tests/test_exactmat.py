@@ -1,5 +1,5 @@
 """Exact matrix algebra over GF(q): construction, arithmetic identities,
-rank and solving, block assembly, and serialization."""
+rank and solving, the subset scan and decoder, and serialization."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from sgcode.exactmat import (
     Singular,
     SubsetDecoder,
     Unsolvable,
-    assemble_blocks,
     first_singular_subset,
     pivot_columns,
     rank,
@@ -179,7 +178,20 @@ def test_matmul_inner_dimension_edge(monkeypatch, k, f64):
     b = np.full((k, 2), q - 1, dtype=np.int64)
     got = exactmat._matmul_kernel(a, b, q)
     assert bool(calls) == f64
+    assert got.dtype == np.int64
     assert [int(v) for v in got.reshape(-1)] == [k % q, k % q]
+
+
+@pytest.mark.parametrize("m, n", [(0, 2), (2, 0)])
+def test_matmul_empty_operand_with_long_inner_dimension(m, n):
+    # No multiply-adds, so neither limb path applies for k > 2^16; the
+    # result must still be an int64 matrix of zeros.
+    k = (1 << 16) + 1
+    a = np.ones((m, k), dtype=np.int64)
+    b = np.ones((k, n), dtype=np.int64)
+    got = exactmat._matmul_kernel(a, b, DEFAULT.q)
+    assert got.dtype == np.int64
+    assert got.shape == (m, n)
 
 
 @pytest.mark.parametrize("shape, f64", [((32, 32, 32), True), ((31, 32, 32), False)])
@@ -448,45 +460,6 @@ def test_subset_decoder_matches_reference_solve(q, r, N, Nr, cols):
             got = decoder(subset, x[rows])
             assert got.shape == (lead, cols)
             assert np.array_equal(got, want)
-
-
-# ---- block assembly ----------------------------------------------------------
-
-
-def test_assemble_blocks_matches_manual_layout():
-    a = FieldMatrix.from_rows([[1, 2], [3, 4]], F7)
-    b = FieldMatrix.from_rows([[5], [6]], F7)
-    c = FieldMatrix.from_rows([[0, 1]], F7)
-    d = FieldMatrix.from_rows([[2]], F7)
-    got = assemble_blocks([[a, b], [c, d]])
-    want = FieldMatrix.from_rows([[1, 2, 5], [3, 4, 6], [0, 1, 2]], F7)
-    assert got == want
-
-
-def test_assemble_blocks_demand_shape():
-    # The demand layout: an n x nK block beside zeros over an identity.
-    n, nk, keys = 3, 9, 3
-    grid = [
-        [FieldMatrix.zeros(n, nk, F7), FieldMatrix.zeros(n, keys, F7)],
-        [FieldMatrix.zeros(keys, nk, F7), FieldMatrix.identity(keys, F7)],
-    ]
-    assert assemble_blocks(grid).shape == (n + keys, nk + keys)
-
-
-def test_assemble_blocks_validates_grid():
-    a = FieldMatrix.zeros(2, 2, F7)
-    tall = FieldMatrix.zeros(3, 2, F7)
-    wide = FieldMatrix.zeros(2, 3, F7)
-    with pytest.raises(DimensionMismatch):
-        assemble_blocks([[a, a], [a]])
-    with pytest.raises(DimensionMismatch):
-        assemble_blocks([[a, tall]])
-    with pytest.raises(DimensionMismatch):
-        assemble_blocks([[a, a], [a, wide]])
-    with pytest.raises(ValueError):
-        assemble_blocks([[a, FieldMatrix.zeros(2, 2, make_field(11))]])
-    with pytest.raises(DimensionMismatch):
-        assemble_blocks([])
 
 
 # ---- serialization -----------------------------------------------------------

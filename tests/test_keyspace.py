@@ -1,5 +1,5 @@
-"""Group enumeration, availability, piece counting, and the intersection
-count identities."""
+"""Group enumeration, the key groups available to each server, piece
+counting, and the intersection count identities."""
 
 from __future__ import annotations
 
@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 from sgcode.field import make_field
 from sgcode.keyspace import (
     InvalidParams,
-    availability,
     comb0,
     enumerate_groups,
     omega_bruteforce,
     omega_closed,
     omega_split,
     piece_counts,
-    unavailable_key_columns,
 )
-from sgcode.scheme import SchemeParams
+from sgcode.scheme import SchemeParams, derive_dims
+
+Q = make_field(2147483647)
 
 
 # ---- binomials and piece counts ----------------------------------------------
@@ -72,15 +72,23 @@ def test_enumerate_groups_rejects_bad_params():
         enumerate_groups(0, 1)
 
 
+def available_groups(dims, server):
+    """1-based groups whose first key piece the server may touch."""
+    hidden = set(dims.hidden_key_offsets(server).tolist())
+    return frozenset(g + 1 for g in range(dims.group_count) if g not in hidden)
+
+
 def test_availability_counts_and_membership():
-    index = enumerate_groups(3, 2)
-    per = availability(index).per_server
-    assert per[1] == frozenset({1, 2})
-    assert per[2] == frozenset({1, 3})
-    assert per[3] == frozenset({2, 3})
-    for N, S in [(5, 2), (6, 3), (7, 4)]:
-        per = availability(enumerate_groups(N, S)).per_server
-        assert all(len(per[n]) == comb0(N - 1, S - 1) for n in per)
+    dims = derive_dims(SchemeParams(K=1, N=3, Nr=3, M=2, S=2, q=Q))
+    assert available_groups(dims, 1) == frozenset({1, 2})
+    assert available_groups(dims, 2) == frozenset({1, 3})
+    assert available_groups(dims, 3) == frozenset({2, 3})
+    for N, M, S in [(5, 4, 2), (6, 4, 3), (7, 5, 4)]:
+        dims = derive_dims(SchemeParams(K=1, N=N, Nr=5, M=M, S=S, q=Q))
+        for n in range(1, N + 1):
+            groups = available_groups(dims, n)
+            assert len(groups) == comb0(N - 1, S - 1)
+            assert all(n in enumerate_groups(N, S).group(g) for g in groups)
 
 
 # ---- intersection counting ---------------------------------------------------
@@ -126,31 +134,34 @@ def test_omega_bruteforce_rejects_unknown_servers():
 # ---- key columns of the demand matrix ----------------------------------------
 
 
+def unavailable_key_columns(dims, server):
+    """1-based F columns of the key pieces the server lacks."""
+    return frozenset((dims.n * dims.K + dims.hidden_key_offsets(server) + 1).tolist())
+
+
 def test_unavailable_key_columns_small_example():
-    params = SchemeParams(K=3, N=3, Nr=3, M=2, S=2, q=make_field(2147483647))
-    index = enumerate_groups(3, 2)
+    dims = derive_dims(SchemeParams(K=3, N=3, Nr=3, M=2, S=2, q=Q))
     # n*K = 9 gradient piece columns come first; server 1 misses only the
     # group {2, 3}, whose single key piece sits at 1-based column 12.
-    assert unavailable_key_columns(params, index, 1) == frozenset({12})
-    assert unavailable_key_columns(params, index, 2) == frozenset({11})
-    assert unavailable_key_columns(params, index, 3) == frozenset({10})
+    assert unavailable_key_columns(dims, 1) == frozenset({12})
+    assert unavailable_key_columns(dims, 2) == frozenset({11})
+    assert unavailable_key_columns(dims, 3) == frozenset({10})
 
 
 def test_unavailable_key_columns_count():
-    params = SchemeParams(K=2, N=5, Nr=5, M=2, S=2, q=make_field(2147483647))
-    index = enumerate_groups(5, 2)
+    params = SchemeParams(K=2, N=5, Nr=5, M=2, S=2, q=Q)
+    dims = derive_dims(params)
     r, n, alpha = piece_counts(5, 5, 2, 2)
     for server in range(1, 6):
-        cols = unavailable_key_columns(params, index, server)
-        missing_groups = len(index) - comb0(4, 1)
+        cols = unavailable_key_columns(dims, server)
+        missing_groups = comb0(5, 2) - comb0(4, 1)
         assert len(cols) == alpha * missing_groups
         assert all(c > n * params.K for c in cols)
 
 
 def test_unavailable_key_columns_rejects_bad_server():
-    params = SchemeParams(K=1, N=3, Nr=3, M=2, S=2, q=make_field(2147483647))
-    index = enumerate_groups(3, 2)
-    with pytest.raises(InvalidParams):
-        unavailable_key_columns(params, index, 0)
-    with pytest.raises(InvalidParams):
-        unavailable_key_columns(params, index, 4)
+    dims = derive_dims(SchemeParams(K=1, N=3, Nr=3, M=2, S=2, q=Q))
+    with pytest.raises(InvalidParams, match="server 0 outside"):
+        dims.hidden_key_offsets(0)
+    with pytest.raises(InvalidParams, match="server 4 outside"):
+        dims.hidden_key_offsets(4)

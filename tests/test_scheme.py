@@ -8,11 +8,12 @@ import json
 import numpy as np
 import pytest
 
-from sgcode.analysis import Infeasible
+from sgcode.analysis import Infeasible, feasibility_violation, feasible_tuples
 from sgcode.exactmat import FieldMatrix, Unsolvable, rank, solve_linear
-from sgcode.field import SeededRng, make_field
-from sgcode.keyspace import comb0, enumerate_groups
+from sgcode.field import SeededRng, TooLarge, make_field
+from sgcode.keyspace import comb0
 from sgcode.scheme import (
+    MAX_MATRIX_ENTRIES,
     BadAssignment,
     ConstructionFailed,
     DataAssignment,
@@ -22,7 +23,6 @@ from sgcode.scheme import (
     artifact_to_json,
     artifact_to_json_dict,
     build_scheme,
-    check_feasibility,
     cyclic_assignment,
     derive_dims,
     gradient_columns,
@@ -30,7 +30,6 @@ from sgcode.scheme import (
     recommended_min_q,
     validate_assignment,
     _coding_defect,
-    _forbidden_key_cols,
     _nonholder_solution,
     _sample_coding,
 )
@@ -87,12 +86,9 @@ def test_derive_dims_rejects_infeasible():
 
 
 def test_check_feasibility_reports():
-    assert check_feasibility(small_params()).passed
-    report = check_feasibility(SchemeParams(K=1, N=3, Nr=2, M=1, S=2, q=Q))
-    assert not report.passed
-    assert any("S >= N-Nr+2" in f for f in report.failures)
-    degenerate = check_feasibility(SchemeParams(K=1, N=3, Nr=3, M=3, S=2, q=Q))
-    assert any("not positive" in f for f in degenerate.failures)
+    assert feasibility_violation(3, 3, 2, 2) is None
+    assert "S >= N-Nr+2" in feasibility_violation(3, 2, 1, 2)
+    assert "not positive" in feasibility_violation(3, 3, 3, 2)
 
 
 # ---- assignments -------------------------------------------------------------
@@ -167,7 +163,7 @@ def test_coding_zero_pattern(small_scheme):
     c = small_scheme.c.data
     n = small_scheme.dims.n
     for server, forbidden_group in ((1, 3), (2, 2), (3, 1)):
-        rows = small_scheme.coding.server_rows(server)
+        rows = small_scheme.dims.server_rows([server])
         col = n + (forbidden_group - 1)
         assert not c[rows, col].any()
         # every other entry of the sampled block is untouched randomness;
@@ -176,9 +172,9 @@ def test_coding_zero_pattern(small_scheme):
 
 
 def test_coding_blocks_and_shapes(small_scheme):
+    # C = [C_G | C_Q]: n = 3 free columns, then 3 key columns.
     assert small_scheme.c.shape == (6, 6)
-    assert small_scheme.coding.free_block.shape == (6, 3)
-    assert small_scheme.coding.key_block.shape == (6, 3)
+    assert (small_scheme.dims.n, small_scheme.dims.key_cols) == (3, 3)
     assert rank(small_scheme.c) == 6
 
 
@@ -186,9 +182,7 @@ def test_non_holder_key_rows_have_full_row_rank(small_scheme):
     dims = small_scheme.dims
     for k in range(1, 4):
         dbar = small_scheme.assignment.non_holders(k, 3)
-        rows = np.concatenate(
-            [small_scheme.coding.server_rows(s) for s in sorted(dbar)]
-        )
+        rows = dims.server_rows(sorted(dbar))
         sub = small_scheme.c.data[rows][:, dims.n :]
         assert rank(FieldMatrix.wrap(sub.copy(), Q)) == len(dbar) * dims.r
 
@@ -201,18 +195,16 @@ def test_nonholder_check_is_the_f2_solve(q):
     params = SchemeParams(K=2, N=4, Nr=4, M=2, S=2, q=make_field(q))
     dims = derive_dims(params)
     assignment = cyclic_assignment(params)
-    forbidden = _forbidden_key_cols(params, dims, enumerate_groups(4, 2))
     sets = sorted({assignment.non_holders(k, 4) for k in (1, 2)}, key=sorted)
     seen = set()
     for seed in range(200):
-        arr = _sample_coding(params, dims, forbidden, SeededRng(seed))
+        arr = _sample_coding(params, dims, SeededRng(seed))
         defect, solutions = _coding_defect(arr, params, dims, assignment, params.q)
         if defect is not None and defect.startswith("responder subset"):
             continue
         blocks = []
         for dbar in sets:
-            rows = np.concatenate([np.arange((s - 1) * dims.r, s * dims.r) for s in sorted(dbar)])
-            blocks.append((dbar, arr[rows]))
+            blocks.append((dbar, arr[dims.server_rows(sorted(dbar))]))
         full = [rank(FieldMatrix.wrap(b[:, dims.n :], params.q)) == b.shape[0] for _, b in blocks]
         if all(full):
             seen.add("solved")
@@ -240,7 +232,7 @@ def test_nonholder_check_flags_a_consistent_rank_deficient_system():
     arr = scheme.c.data.copy()
     first = (min(dbar) - 1) * dims.r
     arr[first + 1] = arr[first]
-    rows = np.concatenate([np.arange((s - 1) * dims.r, s * dims.r) for s in sorted(dbar)])
+    rows = dims.server_rows(sorted(dbar))
     solve_linear(
         FieldMatrix.wrap(arr[rows][:, dims.n :], Q),
         FieldMatrix.wrap((-arr[rows][:, : dims.n]) % Q.q, Q),
@@ -279,20 +271,23 @@ def test_gradient_columns_interleaving():
     assert gradient_columns(dims, small_params(), 3) == [2, 5, 8]
 
 
+def f_blocks(scheme):
+    """(F1, upper-right block, F2, F3) sliced out of the scheme's F."""
+    n, nk, f = scheme.dims.n, scheme.dims.n * scheme.params.K, scheme.f.data
+    return f[:n, :nk], f[:n, nk:], f[n:, :nk], f[n:, nk:]
+
+
 def test_demand_structure(small_scheme):
-    demand = small_scheme.demand
+    f1, corner, f2, f3 = f_blocks(small_scheme)
     dims = small_scheme.dims
-    assert demand.f1.shape == (3, 9)
-    assert demand.f2.shape == (3, 9)
-    assert demand.f3 == FieldMatrix.identity(3, Q)
-    # the assembled matrix keeps the zero corner
-    corner = demand.matrix.take_rows(range(dims.n)).take_cols(
-        range(dims.n * 3, dims.f_cols)
-    )
-    assert corner.is_zero()
+    assert f1.shape == (3, 9)
+    assert f2.shape == (3, 9)
+    assert np.array_equal(f3, np.eye(3, dtype=np.int64))
+    # F keeps the zero corner
+    assert not corner.any()
     # row i of F1 is the indicator of piece i across the K datasets
     for i in range(dims.n):
-        row = demand.f1.data[i]
+        row = f1[i]
         assert row[i * 3 : (i + 1) * 3].tolist() == [1, 1, 1]
         assert row.sum() == 3
 
@@ -300,7 +295,7 @@ def test_demand_structure(small_scheme):
 def test_demand_restricted_to_one_dataset_is_identity(small_scheme):
     dims = small_scheme.dims
     cols = gradient_columns(dims, small_scheme.params, 1)
-    assert small_scheme.demand.f1.take_cols(cols) == FieldMatrix.identity(3, Q)
+    assert np.array_equal(f_blocks(small_scheme)[0][:, cols], np.eye(3, dtype=np.int64))
 
 
 def test_demand_cancels_non_holders(small_scheme):
@@ -311,14 +306,14 @@ def test_demand_cancels_non_holders(small_scheme):
     for k in range(1, 4):
         cols = gradient_columns(dims, small_scheme.params, k)
         for server in sorted(small_scheme.assignment.non_holders(k, 3)):
-            rows = small_scheme.coding.server_rows(server)
+            rows = dims.server_rows([server])
             assert not p[rows][:, cols].any()
 
 
 def test_key_availability_respected_in_product(small_scheme):
     # Server 1 never uses the key of group (2, 3): column 12, 1-based.
     p = (small_scheme.c @ small_scheme.f).data
-    rows = small_scheme.coding.server_rows(1)
+    rows = small_scheme.dims.server_rows([1])
     assert not p[rows, 11].any()
 
 
@@ -341,7 +336,7 @@ def test_artifact_json_roundtrip(small_scheme):
     assert again.assignment == small_scheme.assignment
     assert again.c == small_scheme.c
     assert again.f == small_scheme.f
-    assert again.demand.f2 == small_scheme.demand.f2
+    assert np.array_equal(f_blocks(again)[2], f_blocks(small_scheme)[2])
     assert again.seed == small_scheme.seed
     assert again.retries_used == small_scheme.retries_used
     assert artifact_to_json(again) == text
@@ -380,3 +375,99 @@ def test_artifact_parse_rejections(small_scheme):
         artifact_from_json("[1, 2, 3]")
     with pytest.raises(ParseError):
         artifact_from_json("{}")
+
+
+# ---- the layout map ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_layout_is_one_map(K):
+    # For every feasible tuple with N <= 6: the dataset columns and the key
+    # block partition F's columns, the server row blocks partition C's rows,
+    # each server lacks alpha*(C(N,S) - C(N-1,S-1)) key pieces, and a built C
+    # is zero on exactly those key columns of the server's rows.
+    for N, Nr, M, S in feasible_tuples(6):
+        params = SchemeParams(K=K, N=N, Nr=Nr, M=M, S=S, q=Q)
+        dims = derive_dims(params)
+        nk = dims.n * K
+        f_cols = [c for k in range(1, K + 1) for c in dims.gradient_columns(k)]
+        f_cols += range(nk, nk + dims.key_cols)
+        assert sorted(f_cols) == list(range(dims.f_cols))
+        c_rows = np.concatenate([dims.server_rows([s]) for s in range(1, N + 1)])
+        assert c_rows.tolist() == list(range(dims.r * N))
+        assert np.array_equal(dims.server_rows(range(1, N + 1)), c_rows)
+        c = build_scheme(params, seed=0).c.data
+        for server in range(1, N + 1):
+            hidden = dims.hidden_key_offsets(server)
+            assert hidden.size == dims.alpha * (comb0(N, S) - comb0(N - 1, S - 1))
+            assert np.all(np.diff(hidden) > 0)
+            assert hidden.size == 0 or 0 <= hidden[0] <= hidden[-1] < dims.key_cols
+            zero = np.flatnonzero(~c[dims.server_rows([server])].any(axis=0))
+            assert np.array_equal(zero, dims.n + hidden)
+
+
+# ---- the fixed blocks of F ---------------------------------------------------
+
+
+def tampered_f(scheme, change) -> str:
+    """The artifact JSON with change(F) applied to a copy of F."""
+    obj = artifact_to_json_dict(scheme)
+    f = scheme.f.data.copy()
+    change(f, scheme.dims)
+    obj["F"]["data"] = [str(int(v) % Q.q) for v in f.reshape(-1)]
+    return json.dumps(obj)
+
+
+def scale_f1_f2(f, dims):
+    f[:, : dims.n * dims.K] *= 2
+
+
+def weight_datasets(f, dims):
+    # F1's dataset-k columns weighted by k; scaling F2's columns the same way
+    # re-solves C_Q X = -C_G F1 for the new F1, so encodability still holds.
+    for k in range(1, dims.K + 1):
+        f[:, dims.gradient_columns(k)] *= k
+
+
+def set_corner(f, dims):
+    f[0, dims.n * dims.K] = 1
+
+
+def break_f3(f, dims):
+    f[dims.n, dims.n * dims.K] = 0
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (scale_f1_f2, "F1 is not the piece-sum pattern"),
+        (weight_datasets, "F1 is not the piece-sum pattern"),
+        (set_corner, "upper-right block of F is not zero"),
+        (break_f3, "F3 is not the identity"),
+    ],
+    ids=["f1-f2-doubled", "f1-weights-1-2-3", "corner", "f3"],
+)
+def test_parser_rejects_f_that_breaks_the_pattern(small_scheme, change, message):
+    with pytest.raises(ParseError, match=message):
+        artifact_from_json(tampered_f(small_scheme, change))
+
+
+# ---- size cap ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "tup",
+    [
+        (24, 20, 18, 10, 8),  # C would hold 5.7e12 entries
+        (1, 12, 11, 10, 6),  # C would hold 67293072 entries, just above 2^26
+    ],
+)
+def test_build_refuses_oversized_tuples_before_sampling(monkeypatch, tup):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled a matrix above the cap")
+
+    monkeypatch.setattr("sgcode.scheme.sample_array", never)
+    K, N, Nr, M, S = tup
+    params = SchemeParams(K=K, N=N, Nr=Nr, M=M, S=S, q=Q)
+    with pytest.raises(TooLarge, match=f"above the cap of {MAX_MATRIX_ENTRIES}"):
+        build_scheme(params, seed=0)

@@ -15,7 +15,6 @@ from sgcode.exactmat import FieldMatrix
 from sgcode.field import TooLarge, make_field
 from sgcode.scheme import (
     DataAssignment,
-    DemandMatrix,
     SchemeArtifact,
     SchemeParams,
     build_scheme,
@@ -63,26 +62,15 @@ def corrupt_coding(scheme: SchemeArtifact, row: int, col: int) -> SchemeArtifact
     field = scheme.params.q
     data = scheme.c.data.copy()
     data[row, col] = (int(data[row, col]) + 1) % field.q
-    coding = dataclasses.replace(scheme.coding, matrix=FieldMatrix.wrap(data, field))
-    return dataclasses.replace(scheme, coding=coding)
+    return dataclasses.replace(scheme, c=FieldMatrix.wrap(data, field))
 
 
 def corrupt_demand(
     scheme: SchemeArtifact, row: int, col: int, value: int
 ) -> SchemeArtifact:
-    field = scheme.params.q
-    n, kc = scheme.dims.n, scheme.dims.key_cols
-    nk = n * scheme.params.K
     data = scheme.f.data.copy()
     data[row, col] = value
-    full = FieldMatrix.wrap(data, field)
-    demand = DemandMatrix(
-        f1=full.take_rows(range(n)).take_cols(range(nk)),
-        f2=full.take_rows(range(n, n + kc)).take_cols(range(nk)),
-        f3=full.take_rows(range(n, n + kc)).take_cols(range(nk, nk + kc)),
-        matrix=full,
-    )
-    return dataclasses.replace(scheme, demand=demand)
+    return dataclasses.replace(scheme, f=FieldMatrix.wrap(data, scheme.params.q))
 
 
 # ---- decodability and encodability ------------------------------------------
@@ -108,8 +96,7 @@ def test_decodability_names_first_singular_subset(wide):
     r = wide.dims.r
     data = wide.c.data.copy()
     data[4 * r : 5 * r] = data[3 * r : 4 * r]
-    coding = dataclasses.replace(wide.coding, matrix=FieldMatrix.wrap(data, Q))
-    bad = dataclasses.replace(wide, coding=coding)
+    bad = dataclasses.replace(wide, c=FieldMatrix.wrap(data, Q))
     report = verify_decodability(bad)
     assert not report.passed
     assert report.first_failure == (1, 2, 4, 5)
@@ -188,7 +175,7 @@ def test_security_matches_bruteforce_enumeration(tiny3):
         FieldMatrix.wrap((tiny3.c @ tiny3.f).data.copy(), field)
     )
     sum_rows = np.zeros((dims.n, var_count), dtype=np.int64)
-    sum_rows[:, :nk] = tiny3.demand.f1.data
+    sum_rows[:, :nk] = tiny3.f.data[: dims.n, :nk]
     gradient_rows = np.zeros((nk, var_count), dtype=np.int64)
     np.fill_diagonal(gradient_rows[:, :nk], 1)
     the_sum = LinearObservable(FieldMatrix.wrap(sum_rows, field))
