@@ -6,7 +6,6 @@ Every result is exact integer arithmetic; large int64 products run their
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
@@ -14,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .field import FieldElement, FieldModulus, make_field
+from .field import FieldElement, FieldModulus
 
 
 class DimensionMismatch(ValueError):
@@ -312,35 +311,6 @@ class FieldMatrix:
 
     def is_zero(self) -> bool:
         return not np.any(self.data)
-
-    # serialization
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "q": str(self.modulus.q),
-            "data": [str(int(v)) for v in self.data.reshape(-1)],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "FieldMatrix":
-        field = make_field(int(obj["q"]))
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = [int(s) for s in obj["data"]]
-        if len(data) != rows * cols:
-            raise DimensionMismatch("data length does not match rows*cols")
-        if any(not 0 <= v < field.q for v in data):
-            raise ValueError("entry outside [0, q)")
-        arr = np.array(data, dtype=field.dtype()).reshape(rows, cols)
-        return cls(arr, field)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "FieldMatrix":
-        return cls.from_json_dict(json.loads(text))
 
 
 # ---- operations -------------------------------------------------------------

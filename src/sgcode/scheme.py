@@ -393,6 +393,18 @@ def _check_fixed_blocks(f: np.ndarray, dims: DerivedDims, field: FieldModulus) -
 # ---- full scheme ------------------------------------------------------------
 
 
+def _checked_shapes(dims: DerivedDims) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The shapes of C and F; TooLarge above MAX_MATRIX_ENTRIES entries."""
+    shapes = (dims.r * dims.N, dims.f_rows), (dims.f_rows, dims.f_cols)
+    c_entries, f_entries = (rows * cols for rows, cols in shapes)
+    if max(c_entries, f_entries) > MAX_MATRIX_ENTRIES:
+        raise TooLarge(
+            f"C would hold {c_entries} entries and F {f_entries}, "
+            f"above the cap of {MAX_MATRIX_ENTRIES}"
+        )
+    return shapes
+
+
 @dataclass(frozen=True)
 class SchemeArtifact:
     """A built scheme: parameters, dimensions, assignment, the coding
@@ -417,13 +429,7 @@ def build_scheme(
     (params, assignment, seed). Raises TooLarge, before allocating either,
     when C or F would hold more than MAX_MATRIX_ENTRIES entries."""
     dims = derive_dims(params)
-    c_entries = dims.r * params.N * dims.f_rows
-    f_entries = dims.f_rows * dims.f_cols
-    if max(c_entries, f_entries) > MAX_MATRIX_ENTRIES:
-        raise TooLarge(
-            f"C would hold {c_entries} entries and F {f_entries}, "
-            f"above the cap of {MAX_MATRIX_ENTRIES}"
-        )
+    _checked_shapes(dims)
     if assignment is None:
         assignment = cyclic_assignment(params)
     violations = validate_assignment(params, assignment)
@@ -444,78 +450,102 @@ def build_scheme(
 
 # ---- serialization ----------------------------------------------------------
 
+_PARAMS = ("K", "N", "Nr", "M", "S")
 
-def artifact_to_json_dict(artifact: SchemeArtifact) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "K": artifact.params.K,
-        "N": artifact.params.N,
-        "Nr": artifact.params.Nr,
-        "M": artifact.params.M,
-        "S": artifact.params.S,
-        "q": str(artifact.params.q.q),
-        "seed": artifact.seed,
-        "retries_used": artifact.retries_used,
-        "assignment": {
-            "D": [sorted(d) for d in artifact.assignment.dataset_servers]
-        },
-        "C": artifact.c.to_json_dict(),
-        "F": artifact.f.to_json_dict(),
-    }
+
+def _matrix_json(mat: FieldMatrix) -> str:
+    """The matrix as json.dumps(indent=2) writes it inside the artifact
+    (format v1), with its entries formatted by one C-level %."""
+    values = mat.data.reshape(-1).tolist()
+    data = ('      "%d",\n' * len(values) % tuple(values))[:-2]
+    head = f'{{\n    "rows": {mat.rows},\n    "cols": {mat.cols},\n    "q": "{mat.modulus.q}",\n'
+    return f'{head}    "data": [\n{data}\n    ]\n  }}'
 
 
 def artifact_to_json(artifact: SchemeArtifact) -> str:
-    return json.dumps(artifact_to_json_dict(artifact), indent=2) + "\n"
+    header = {
+        "format_version": FORMAT_VERSION,
+        **{key: getattr(artifact.params, key) for key in _PARAMS},
+        "q": str(artifact.params.q.q),
+        "seed": artifact.seed,
+        "retries_used": artifact.retries_used,
+        "assignment": {"D": [sorted(d) for d in artifact.assignment.dataset_servers]},
+    }
+    c, f = _matrix_json(artifact.c), _matrix_json(artifact.f)
+    return json.dumps(header, indent=2)[:-2] + f',\n  "C": {c},\n  "F": {f}\n}}\n'
 
 
-def artifact_from_json_dict(obj: dict) -> SchemeArtifact:
-    try:
-        version = obj["format_version"]
-        if version != FORMAT_VERSION:
-            raise ParseError(f"unsupported format_version {version}")
-        field = make_field(int(obj["q"]))
-        params = SchemeParams(
-            K=int(obj["K"]),
-            N=int(obj["N"]),
-            Nr=int(obj["Nr"]),
-            M=int(obj["M"]),
-            S=int(obj["S"]),
-            q=field,
-        )
-        assignment = DataAssignment.from_datasets(params.N, obj["assignment"]["D"])
-        c_mat = FieldMatrix.from_json_dict(obj["C"])
-        f_mat = FieldMatrix.from_json_dict(obj["F"])
-        seed = int(obj["seed"])
-        retries = int(obj["retries_used"])
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed artifact: {exc}") from exc
-    dims = derive_dims(params)
-    for name, mat in (("C", c_mat), ("F", f_mat)):
-        if mat.modulus != field:
-            raise ParseError(f"matrix {name} modulus differs from header q")
-    if c_mat.shape != (dims.r * params.N, dims.f_rows):
-        raise ParseError(f"C shape {c_mat.shape} does not match parameters")
-    if f_mat.shape != (dims.f_rows, dims.f_cols):
-        raise ParseError(f"F shape {f_mat.shape} does not match parameters")
-    _check_fixed_blocks(f_mat.data, dims, field)
-    return SchemeArtifact(
-        params=params,
-        dims=dims,
-        assignment=assignment,
-        c=c_mat,
-        f=f_mat,
-        seed=seed,
-        retries_used=retries,
-    )
+def _json_int(value: object, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} {value!r} is not a JSON integer")
+    return value
+
+
+def _decimal(value: object, what: str) -> int:
+    if not (isinstance(value, str) and value.isascii() and value.isdigit()):
+        raise ParseError(f"{what} {value!r} is not a decimal string")
+    return int(value)
+
+
+def _matrix_data(name: str, obj: dict, shape: Tuple[int, int], q: int) -> list:
+    """The entry list of C or F, once its q, shape and length match."""
+    if _decimal(obj["q"], f"{name} q") != q:
+        raise ParseError(f"matrix {name} modulus differs from header q")
+    got = tuple(_json_int(obj[key], f"{name} {key}") for key in ("rows", "cols"))
+    if got != shape:
+        raise ParseError(f"{name} shape {got} does not match parameters")
+    data = obj["data"]
+    if not isinstance(data, list) or len(data) != shape[0] * shape[1]:
+        raise ParseError(f"{name} data does not hold rows*cols entries")
+    return data
+
+
+def _entries(data: list, field: FieldModulus) -> np.ndarray:
+    """ASCII decimal strings below q, converted in one numpy call."""
+    digits = "".join(data)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError("matrix entries must be ASCII decimal strings")
+    # An empty entry leaves a double space, which the parse skips; a value
+    # above 2^63 - 1 saturates, and the range check refuses it.
+    arr = np.fromstring(" ".join(data), dtype=np.int64, sep=" ")
+    if arr.size != len(data):
+        raise ParseError("empty matrix entry")
+    if arr.max() >= field.q:
+        raise ParseError("entry outside [0, q)")
+    return arr.astype(field.dtype(), copy=False)
 
 
 def artifact_from_json(text: str) -> SchemeArtifact:
+    """Parse and check an artifact, failing fast: the header (JSON integers,
+    a prime decimal q), the size cap, the assignment, each matrix's q, shape
+    and length, and only then the entries and F's fixed blocks."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("artifact must be a JSON object")
-    return artifact_from_json_dict(obj)
+    try:
+        version = _json_int(obj["format_version"], "format_version")
+        if version != FORMAT_VERSION:
+            raise ParseError(f"unsupported format_version {version}")
+        field = make_field(_decimal(obj["q"], "q"))
+        params = SchemeParams(**{k: _json_int(obj[k], k) for k in _PARAMS}, q=field)
+        seed, retries = (_json_int(obj[k], k) for k in ("seed", "retries_used"))
+        dims = derive_dims(params)
+        shapes = _checked_shapes(dims)
+        assignment = DataAssignment.from_datasets(params.N, obj["assignment"]["D"])
+        violations = validate_assignment(params, assignment)
+        if violations:
+            raise ParseError("; ".join(violations))
+        data = [_matrix_data(n, obj[n], s, field.q) for n, s in zip("CF", shapes)]
+        c, f = (_entries(d, field).reshape(s) for d, s in zip(data, shapes))
+    except (ParseError, Infeasible):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed artifact: {exc}") from exc
+    _check_fixed_blocks(f, dims, field)
+    return SchemeArtifact(
+        params=params, dims=dims, assignment=assignment, seed=seed, retries_used=retries,
+        c=FieldMatrix.wrap(c, field), f=FieldMatrix.wrap(f, field),
+    )

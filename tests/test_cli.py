@@ -219,6 +219,36 @@ def test_verify_invalid_json(tmp_path, capsys):
     assert main(["verify", str(path)]) == EXIT_IO
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("K", 3.9), ("seed", 0.5), ("format_version", True), ("q", 7.5), ("q", 2147483647)],
+)
+def test_verify_refuses_non_integer_header(tmp_path, capsys, key, value):
+    path = build_artifact(tmp_path)
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == EXIT_IO
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [2.5, True, None, "1_0", " 12", "+1", "-1", "\u0663", "", "2147483647",
+     "12345678901234567890"],
+    ids=repr,
+)
+def test_verify_refuses_hostile_entries(tmp_path, capsys, entry):
+    path = build_artifact(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["C"]["data"][0] = entry
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == EXIT_IO
+    assert "parse error" in capsys.readouterr().err
+
+
 # ---- simulate ---------------------------------------------------------------
 
 

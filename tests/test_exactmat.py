@@ -1,5 +1,5 @@
 """Exact matrix algebra over GF(q): construction, arithmetic identities,
-rank and solving, the subset scan and decoder, and serialization."""
+rank and solving, and the subset scan and decoder."""
 
 from __future__ import annotations
 
@@ -460,34 +460,3 @@ def test_subset_decoder_matches_reference_solve(q, r, N, Nr, cols):
             got = decoder(subset, x[rows])
             assert got.shape == (lead, cols)
             assert np.array_equal(got, want)
-
-
-# ---- serialization -----------------------------------------------------------
-
-
-def test_json_roundtrip_preserves_everything():
-    m = random_matrix(4, 6, DEFAULT, 123)
-    again = FieldMatrix.from_json(m.to_json())
-    assert again == m
-    obj = m.to_json_dict()
-    assert obj["rows"] == 4 and obj["cols"] == 6
-    assert obj["q"] == str(DEFAULT.q)
-    assert all(isinstance(s, str) for s in obj["data"])
-
-
-def test_json_roundtrip_big_modulus():
-    m = random_matrix(3, 3, BIG, 9)
-    assert FieldMatrix.from_json(m.to_json()) == m
-
-
-def test_json_rejects_bad_payloads():
-    good = random_matrix(2, 2, F7, 1).to_json_dict()
-    short = dict(good, data=good["data"][:3])
-    with pytest.raises(DimensionMismatch):
-        FieldMatrix.from_json_dict(short)
-    out_of_range = dict(good, data=["7", "0", "0", "0"])
-    with pytest.raises(ValueError):
-        FieldMatrix.from_json_dict(out_of_range)
-    composite = dict(good, q="6")
-    with pytest.raises(ValueError):
-        FieldMatrix.from_json_dict(composite)

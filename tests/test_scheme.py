@@ -3,7 +3,10 @@ pattern, demand-matrix cancellation, and artifact serialization."""
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from sgcode.scheme import (
     SchemeParams,
     artifact_from_json,
     artifact_to_json,
-    artifact_to_json_dict,
     build_scheme,
     cyclic_assignment,
     derive_dims,
@@ -48,6 +50,10 @@ def small_assignment():
 @pytest.fixture(scope="module")
 def small_scheme():
     return build_scheme(small_params(), assignment=small_assignment(), seed=0)
+
+
+def artifact_obj(scheme) -> dict:
+    return json.loads(artifact_to_json(scheme))
 
 
 # ---- parameters and dimensions ----------------------------------------------
@@ -120,7 +126,7 @@ def test_assignment_holders_and_non_holders():
 def test_assignment_rejects_non_integer_server_ids(small_scheme, server):
     with pytest.raises(BadAssignment, match="not an integer"):
         DataAssignment.from_datasets(3, [[server, 3], [1, 2], [1, 2]])
-    obj = artifact_to_json_dict(small_scheme)
+    obj = artifact_obj(small_scheme)
     obj["assignment"]["D"][0] = [server, 3]
     with pytest.raises(ParseError, match="not an integer"):
         artifact_from_json(json.dumps(obj))
@@ -343,7 +349,7 @@ def test_artifact_json_roundtrip(small_scheme):
 
 
 def test_artifact_header_fields(small_scheme):
-    obj = artifact_to_json_dict(small_scheme)
+    obj = artifact_obj(small_scheme)
     assert obj["format_version"] == 1
     assert (obj["K"], obj["N"], obj["Nr"], obj["M"], obj["S"]) == (3, 3, 3, 2, 2)
     assert obj["q"] == "2147483647"
@@ -352,7 +358,7 @@ def test_artifact_header_fields(small_scheme):
 
 
 def test_artifact_parse_rejections(small_scheme):
-    good = artifact_to_json_dict(small_scheme)
+    good = artifact_obj(small_scheme)
 
     bad_version = json.loads(json.dumps(good))
     bad_version["format_version"] = 99
@@ -375,6 +381,202 @@ def test_artifact_parse_rejections(small_scheme):
         artifact_from_json("[1, 2, 3]")
     with pytest.raises(ParseError):
         artifact_from_json("{}")
+
+
+def test_artifact_rejects_invalid_assignment(small_scheme):
+    # A dataset count other than K, or a server outside [1, N], is refused at
+    # parse time; with too few datasets certify would index past the list.
+    for bad in ([[2, 3], [1, 2]], [[2, 3], [1, 2], [1, 2], [1, 3]], [[2, 9], [1, 2], [1, 2]]):
+        obj = artifact_obj(small_scheme)
+        obj["assignment"]["D"] = bad
+        with pytest.raises(ParseError):
+            artifact_from_json(json.dumps(obj))
+
+
+def test_artifact_matrices_are_decimal_string_lists(small_scheme):
+    obj = artifact_obj(small_scheme)
+    for name, mat in (("C", small_scheme.c), ("F", small_scheme.f)):
+        assert (obj[name]["rows"], obj[name]["cols"]) == mat.shape
+        assert obj[name]["q"] == str(Q.q)
+        assert obj[name]["data"] == [str(v) for v in mat.data.reshape(-1).tolist()]
+
+
+def test_artifact_json_roundtrip_big_modulus():
+    big = make_field((1 << 61) - 1)
+    scheme = build_scheme(SchemeParams(K=2, N=4, Nr=3, M=2, S=3, q=big), seed=0)
+    text = artifact_to_json(scheme)
+    again = artifact_from_json(text)
+    assert again.c.data.dtype == object and again.f.data.dtype == object
+    assert again.c == scheme.c and again.f == scheme.f
+    assert artifact_to_json(again) == text
+
+
+def test_artifact_rejects_bad_matrix_payloads(small_scheme):
+    short = artifact_obj(small_scheme)
+    short["C"]["data"].pop()
+    at_q = artifact_obj(small_scheme)
+    at_q["F"]["data"][0] = str(Q.q)
+    composite = artifact_obj(small_scheme)
+    composite["C"]["q"] = "6"
+    for bad, message in (
+        (short, "C data does not hold rows\\*cols entries"),
+        (at_q, r"entry outside \[0, q\)"),
+        (composite, "matrix C modulus differs from header q"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            artifact_from_json(json.dumps(bad))
+
+
+@pytest.mark.parametrize(
+    "where, key, value, message",
+    [
+        (None, "K", 3.9, "not a JSON integer"),
+        (None, "seed", 0.5, "not a JSON integer"),
+        (None, "format_version", True, "not a JSON integer"),
+        (None, "format_version", 1.0, "not a JSON integer"),
+        (None, "N", "3", "not a JSON integer"),
+        (None, "Nr", None, "not a JSON integer"),
+        (None, "M", 2.0, "not a JSON integer"),
+        (None, "S", True, "not a JSON integer"),
+        (None, "retries_used", [0], "not a JSON integer"),
+        (None, "q", 7.5, "not a decimal string"),
+        (None, "q", 2147483647, "not a decimal string"),
+        (None, "q", "+2147483647", "not a decimal string"),
+        ("C", "rows", 6.0, "not a JSON integer"),
+        ("F", "cols", True, "not a JSON integer"),
+        ("C", "q", 2147483647, "not a decimal string"),
+        ("F", "q", "2147483647.0", "not a decimal string"),
+    ],
+)
+def test_parser_reads_header_integers_strictly(small_scheme, where, key, value, message):
+    obj = artifact_obj(small_scheme)
+    (obj if where is None else obj[where])[key] = value
+    with pytest.raises(ParseError, match=message):
+        artifact_from_json(json.dumps(obj))
+
+
+HOSTILE_ENTRIES = [
+    2.5, True, None, 7, "1_0", " 12", "+1", "-1", "\u0663", "", str(Q.q),
+    "12345678901234567890",
+]
+
+
+@pytest.mark.parametrize("entry", HOSTILE_ENTRIES, ids=repr)
+@pytest.mark.parametrize("name", ["C", "F"])
+def test_parser_refuses_hostile_entries(small_scheme, name, entry):
+    obj = artifact_obj(small_scheme)
+    obj[name]["data"][1] = entry
+    with pytest.raises(ParseError):
+        artifact_from_json(json.dumps(obj))
+
+
+def oversized_header(obj):
+    obj.update(K=24, N=20, Nr=18, M=10, S=8)
+
+
+def short_c_rows(obj):
+    obj["C"]["rows"] = 4
+
+
+def short_f_data(obj):
+    obj["F"]["data"].pop()
+
+
+def wide_f(obj):
+    obj["F"]["cols"] += 1
+    obj["F"]["data"] += obj["F"]["data"][: obj["F"]["rows"]]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (oversized_header, "above the cap"),
+        (short_c_rows, r"C shape \(4, 6\) does not match parameters"),
+        (short_f_data, "F data does not hold"),
+        (wide_f, r"F shape \(6, 13\) does not match parameters"),
+    ],
+)
+def test_parser_checks_shapes_before_converting_entries(
+    monkeypatch, small_scheme, change, message
+):
+    def never(*args, **kwargs):
+        raise AssertionError("converted entries before every shape was checked")
+
+    monkeypatch.setattr("sgcode.scheme._entries", never)
+    obj = artifact_obj(small_scheme)
+    change(obj)
+    with pytest.raises(ParseError, match=message):
+        artifact_from_json(json.dumps(obj))
+
+
+# SHA-256 of artifact_to_json for each build, taken from the dict-based
+# writer that the single-pass writer replaced.
+PINNED_ARTIFACTS = [
+    ((3, 3, 3, 2, 2), 2147483647, [[2, 3], [1, 2], [1, 2]],
+     "ddefc26eaee9b7547b78f977d76dad8ec7cb334771f67e1c817b4ba74ba1d2e4"),
+    ((8, 8, 8, 7, 2), 2147483647, None,
+     "305cf5273e0419edac8c1778771050facc524785d7938b2d2557c8aeff2b04a1"),
+    ((2, 4, 3, 2, 3), (1 << 61) - 1, None,
+     "f6af62eb92cb87273762f376e6baec66d36555f6a329c98c715b2dc4df3675a6"),
+    ((3, 3, 3, 2, 2), 7, [[2, 3], [1, 2], [1, 2]],
+     "1de5a3217da2b5c8f7452ca726d16647cc7a521713da9d6937a36560c87b91c9"),
+]
+
+
+def test_artifact_bytes_are_pinned():
+    for (K, N, Nr, M, S), q, holders, digest in PINNED_ARTIFACTS:
+        params = SchemeParams(K=K, N=N, Nr=Nr, M=M, S=S, q=make_field(q))
+        assignment = None if holders is None else DataAssignment.from_datasets(N, holders)
+        text = artifact_to_json(build_scheme(params, assignment, seed=0))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (K, N, Nr, M, S, q)
+
+
+def reference_artifact_json(scheme) -> str:
+    """The v1 text through the standard library's indenting encoder."""
+    p = scheme.params
+    obj = {
+        "format_version": 1, "K": p.K, "N": p.N, "Nr": p.Nr, "M": p.M, "S": p.S,
+        "q": str(p.q.q), "seed": scheme.seed, "retries_used": scheme.retries_used,
+        "assignment": {"D": [sorted(d) for d in scheme.assignment.dataset_servers]},
+    }
+    for name, mat in (("C", scheme.c), ("F", scheme.f)):
+        obj[name] = {
+            "rows": mat.rows, "cols": mat.cols, "q": str(p.q.q),
+            "data": [str(int(v)) for v in mat.data.reshape(-1)],
+        }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("q", [2, 13, 2147483647, (1 << 61) - 1])
+def test_writer_matches_the_indenting_encoder(q):
+    field = make_field(q)
+    for N, Nr, M, S in feasible_tuples(4):
+        params = SchemeParams(K=2, N=N, Nr=Nr, M=M, S=S, q=field)
+        try:
+            scheme = build_scheme(params, seed=3)
+        except ConstructionFailed:
+            continue
+        assert artifact_to_json(scheme) == reference_artifact_json(scheme)
+
+
+def load_bench_checks():
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("tup", [(3, 3, 3, 2, 2), (2, 5, 4, 2, 3), (4, 6, 5, 3, 3)])
+def test_bench_checks_read_a_fresh_artifact(tup):
+    # The benchmark parses artifact text on its own; a format drift would
+    # make it report correct: false.
+    checks = load_bench_checks()
+    K, N, Nr, M, S = tup
+    scheme = build_scheme(SchemeParams(K=K, N=N, Nr=Nr, M=M, S=S, q=Q), seed=0)
+    parsed = checks.ParsedArtifact(artifact_to_json(scheme))
+    holders = [sorted(d) for d in scheme.assignment.dataset_servers]
+    assert checks.check_structure(parsed, tup, Q.q, holders) == []
 
 
 # ---- the layout map ----------------------------------------------------------
@@ -411,7 +613,7 @@ def test_layout_is_one_map(K):
 
 def tampered_f(scheme, change) -> str:
     """The artifact JSON with change(F) applied to a copy of F."""
-    obj = artifact_to_json_dict(scheme)
+    obj = artifact_obj(scheme)
     f = scheme.f.data.copy()
     change(f, scheme.dims)
     obj["F"]["data"] = [str(int(v) % Q.q) for v in f.reshape(-1)]
