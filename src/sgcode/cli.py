@@ -9,8 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .analysis import (
     AXES,
@@ -40,10 +39,6 @@ EXIT_INFEASIBLE = 2
 EXIT_CONSTRUCTION = 3
 EXIT_VERIFY = 4
 EXIT_IO = 5
-
-
-def _decimal(value: Fraction) -> str:
-    return decimal12(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,8 +111,8 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     assert pt.R is not None and pt.Rn is not None
     assert pt.ratio is not None and pt.beta is not None
     print(
-        f"R = {pt.R} ({_decimal(pt.R)}), Rn = {pt.Rn} ({_decimal(pt.Rn)}), "
-        f"ratio = {pt.ratio} ({_decimal(pt.ratio)}), beta = {pt.beta}, "
+        f"R = {pt.R} ({decimal12(pt.R)}), Rn = {pt.Rn} ({decimal12(pt.Rn)}), "
+        f"ratio = {pt.ratio} ({decimal12(pt.ratio)}), beta = {pt.beta}, "
         f"regime {pt.regime}"
     )
     if args.out:
@@ -127,11 +122,11 @@ def _cmd_cost(args: argparse.Namespace) -> int:
             "M": pt.M,
             "S": pt.S,
             "R_frac": str(pt.R),
-            "R_dec": _decimal(pt.R),
+            "R_dec": decimal12(pt.R),
             "Rn_frac": str(pt.Rn),
-            "Rn_dec": _decimal(pt.Rn),
+            "Rn_dec": decimal12(pt.Rn),
             "ratio_frac": str(pt.ratio),
-            "ratio_dec": _decimal(pt.ratio),
+            "ratio_dec": decimal12(pt.ratio),
             "beta_frac": str(pt.beta),
             "regime": pt.regime,
         }

@@ -54,17 +54,10 @@ class Transcript:
 
     stacked: FieldMatrix
     scheme: SchemeArtifact
-    round_seed: Optional[int] = None
 
     def message(self, server: int) -> FieldMatrix:
         """The r x piece_len block X_n of a 1-based server."""
         return self.stacked.take_rows(self.scheme.dims.server_rows([server]))
-
-    @property
-    def messages(self) -> Tuple[FieldMatrix, ...]:
-        return tuple(
-            self.message(s) for s in range(1, self.scheme.params.N + 1)
-        )
 
 
 def sample_round(scheme: SchemeArtifact, L: int, rng: SeededRng) -> RoundState:
@@ -107,12 +100,9 @@ def build_W(round_state: RoundState, scheme: SchemeArtifact) -> MessageVector:
     )
 
 
-def encode(
-    scheme: SchemeArtifact, w: MessageVector, round_seed: Optional[int] = None
-) -> Transcript:
+def encode(scheme: SchemeArtifact, w: MessageVector) -> Transcript:
     """All servers' messages at once: C (F W)."""
-    stacked = scheme.c @ (scheme.f @ w.matrix)
-    return Transcript(stacked=stacked, scheme=scheme, round_seed=round_seed)
+    return Transcript(stacked=scheme.c @ (scheme.f @ w.matrix), scheme=scheme)
 
 
 def _responder_subset(

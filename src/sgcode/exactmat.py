@@ -9,11 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .field import FieldElement, FieldModulus
+from .field import FieldModulus
 
 
 class DimensionMismatch(ValueError):
@@ -187,44 +187,6 @@ class FieldMatrix:
             raise DimensionMismatch("matrix data must be 2-D")
         self.data.flags.writeable = False
 
-    # construction
-
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Sequence[Union[int, FieldElement]]],
-        field: FieldModulus,
-        cols: Optional[int] = None,
-    ) -> "FieldMatrix":
-        """Build from nested sequences of ints or field elements.
-
-        cols disambiguates the width when rows is empty.
-        """
-        values = [
-            [e.value if isinstance(e, FieldElement) else int(e) % field.q for e in row]
-            for row in rows
-        ]
-        if values:
-            width = len(values[0])
-            if any(len(row) != width for row in values):
-                raise DimensionMismatch("ragged rows")
-        else:
-            width = 0 if cols is None else cols
-        arr = np.array(values, dtype=field.dtype()).reshape(len(values), width)
-        return cls(arr, field)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, field: FieldModulus) -> "FieldMatrix":
-        return cls(np.zeros((rows, cols), dtype=field.dtype()), field)
-
-    @classmethod
-    def identity(cls, size: int, field: FieldModulus) -> "FieldMatrix":
-        arr = np.zeros((size, size), dtype=field.dtype())
-        if size:
-            idx = np.arange(size)
-            arr[idx, idx] = 1
-        return cls(arr, field)
-
     @classmethod
     def wrap(cls, arr: np.ndarray, field: FieldModulus) -> "FieldMatrix":
         """Adopt an already-reduced array without copying. Caller must not
@@ -245,25 +207,11 @@ class FieldMatrix:
     def shape(self) -> Tuple[int, int]:
         return self.data.shape
 
-    @property
-    def entries(self) -> Tuple[FieldElement, ...]:
-        """Row-major entries as field elements."""
-        return tuple(
-            FieldElement(int(v), self.modulus) for v in self.data.reshape(-1)
-        )
-
-    def entry(self, row: int, col: int) -> FieldElement:
-        """0-based single-entry access."""
-        return FieldElement(int(self.data[row, col]), self.modulus)
-
     def take_rows(self, index: Sequence[int]) -> "FieldMatrix":
         return FieldMatrix(self.data[list(index), :], self.modulus)
 
     def take_cols(self, index: Sequence[int]) -> "FieldMatrix":
         return FieldMatrix(self.data[:, list(index)], self.modulus)
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.data.T.copy(), self.modulus)
 
     # arithmetic
 
@@ -280,21 +228,6 @@ class FieldMatrix:
             and bool(np.array_equal(self.data, other.data))
         )
 
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch("shape mismatch in addition")
-        return FieldMatrix((self.data + other.data) % self.modulus.q, self.modulus)
-
-    def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch("shape mismatch in subtraction")
-        return FieldMatrix((self.data - other.data) % self.modulus.q, self.modulus)
-
-    def __neg__(self) -> "FieldMatrix":
-        return FieldMatrix((-self.data) % self.modulus.q, self.modulus)
-
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check(other)
         if self.cols != other.rows:
@@ -304,10 +237,6 @@ class FieldMatrix:
         return FieldMatrix(
             _matmul_kernel(self.data, other.data, self.modulus.q), self.modulus
         )
-
-    def scale(self, scalar: Union[int, FieldElement]) -> "FieldMatrix":
-        s = scalar.value if isinstance(scalar, FieldElement) else scalar % self.modulus.q
-        return FieldMatrix(self.data * s % self.modulus.q, self.modulus)
 
     def is_zero(self) -> bool:
         return not np.any(self.data)

@@ -1,5 +1,5 @@
-"""Prime-field arithmetic GF(q): validated moduli, field elements, and
-seedable uniform sampling used by every matrix and simulation routine."""
+"""Prime fields GF(q): validated moduli and the seedable uniform sampling
+used by every matrix and simulation routine."""
 
 from __future__ import annotations
 
@@ -35,10 +35,6 @@ class NotPrime(ValueError):
 class TooLarge(ValueError):
     """Raised when a requested modulus, enumeration or matrix exceeds the
     supported size."""
-
-
-class DivisionByZero(ZeroDivisionError):
-    """Raised when inverting the zero element."""
 
 
 def _is_prime(m: int) -> bool:
@@ -87,55 +83,6 @@ def make_field(q: int) -> FieldModulus:
     if q < 2 or not _is_prime(q):
         raise NotPrime(f"modulus {q} is not prime")
     return FieldModulus(q)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Least nonnegative residue in GF(q); binary ops require equal moduli."""
-
-    value: int
-    modulus: FieldModulus
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.modulus.q:
-            raise ValueError(f"value {self.value} outside [0, {self.modulus.q})")
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value + other.value) % self.modulus.q, self.modulus)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value - other.value) % self.modulus.q, self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value * other.value % self.modulus.q, self.modulus)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value % self.modulus.q, self.modulus)
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        return FieldElement(pow(self.value, exponent, self.modulus.q), self.modulus)
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-def element(value: int, field: FieldModulus) -> FieldElement:
-    """Reduce an arbitrary integer into the field."""
-    return FieldElement(value % field.q, field)
-
-
-def inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; a.value must be nonzero."""
-    if a.value == 0:
-        raise DivisionByZero("zero has no inverse")
-    return FieldElement(pow(a.value, a.modulus.q - 2, a.modulus.q), a.modulus)
 
 
 # ---- seedable randomness ----------------------------------------------------
@@ -204,9 +151,3 @@ def sample_array(rng: SeededRng, field: FieldModulus, count: int) -> np.ndarray:
         return raw.astype(np.int64)
     return np.array([int(v) for v in raw], dtype=object)
 
-
-def sample_uniform(rng: SeededRng, field: FieldModulus, count: int) -> List[FieldElement]:
-    """count iid uniform field elements; deterministic given the rng seed."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return [FieldElement(int(v), field) for v in uniform_ints(rng, field.q, count)]

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, Tuple
+from typing import Iterable, Tuple
 
 
 class InvalidParams(ValueError):
@@ -38,11 +38,6 @@ class KeyGroupIndex:
     N: int
     S: int
     groups: Tuple[Tuple[int, ...], ...]
-    index_of: Dict[Tuple[int, ...], int]
-
-    def group(self, index: int) -> Tuple[int, ...]:
-        """1-based lookup."""
-        return self.groups[index - 1]
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -52,9 +47,7 @@ def enumerate_groups(N: int, S: int) -> KeyGroupIndex:
     """Complete, duplicate-free, lexicographically sorted S-subset listing."""
     if N < 1 or not 1 <= S <= N:
         raise InvalidParams(f"need 1 <= S <= N, got N={N}, S={S}")
-    groups = tuple(combinations(range(1, N + 1), S))
-    index_of = {g: i + 1 for i, g in enumerate(groups)}
-    return KeyGroupIndex(N=N, S=S, groups=groups, index_of=index_of)
+    return KeyGroupIndex(N=N, S=S, groups=tuple(combinations(range(1, N + 1), S)))
 
 
 def omega_closed(N: int, S: int, subset_size: int) -> int:

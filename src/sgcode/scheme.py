@@ -171,23 +171,19 @@ def _server_id(value: object) -> int:
 
 @dataclass(frozen=True)
 class DataAssignment:
-    """Which servers hold each dataset, and the derived per-server view."""
+    """Which servers hold each dataset."""
 
     dataset_servers: Tuple[FrozenSet[int], ...]
-    server_datasets: Tuple[FrozenSet[int], ...]
 
     @classmethod
     def from_datasets(
         cls, n_servers: int, datasets: Iterable[Iterable[int]]
     ) -> "DataAssignment":
         """Server ids are 1-based ints or numpy integers; any other value,
-        such as a float, a string or a bool, raises BadAssignment."""
-        holders = tuple(frozenset(_server_id(s) for s in d) for d in datasets)
-        per_server = tuple(
-            frozenset(k + 1 for k, d in enumerate(holders) if n in d)
-            for n in range(1, n_servers + 1)
-        )
-        return cls(dataset_servers=holders, server_datasets=per_server)
+        such as a float, a string or a bool, raises BadAssignment.
+        n_servers is not read: validate_assignment checks the ids against
+        the parameters."""
+        return cls(tuple(frozenset(_server_id(s) for s in d) for d in datasets))
 
     @property
     def K(self) -> int:
@@ -377,32 +373,55 @@ def _demand(
     return FieldMatrix.wrap(f, params.q)
 
 
-def _check_fixed_blocks(f: np.ndarray, dims: DerivedDims, field: FieldModulus) -> None:
-    """ParseError naming the first fixed block of F that breaks the pattern."""
+_FIXED_BLOCK_ERRORS = {
+    "F1": "F1 is not the piece-sum pattern",
+    "upper-right": "upper-right block of F is not zero",
+    "F3": "F3 is not the identity",
+}
+
+
+def broken_fixed_block(
+    f: np.ndarray, dims: DerivedDims, field: FieldModulus
+) -> Optional[str]:
+    """The first of F's fixed blocks, "F1", "upper-right" or "F3", that
+    differs from demand_pattern, or None when all three match."""
     pattern = demand_pattern(dims, field)
     n, nk = dims.n, dims.n * dims.K
-    for block, message in (
-        (np.s_[:n, :nk], "F1 is not the piece-sum pattern"),
-        (np.s_[:n, nk:], "upper-right block of F is not zero"),
-        (np.s_[n:, nk:], "F3 is not the identity"),
+    for name, block in (
+        ("F1", np.s_[:n, :nk]),
+        ("upper-right", np.s_[:n, nk:]),
+        ("F3", np.s_[n:, nk:]),
     ):
         if not np.array_equal(f[block], pattern[block]):
-            raise ParseError(message)
+            return name
+    return None
 
 
 # ---- full scheme ------------------------------------------------------------
 
 
-def _checked_shapes(dims: DerivedDims) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """The shapes of C and F; TooLarge above MAX_MATRIX_ENTRIES entries."""
-    shapes = (dims.r * dims.N, dims.f_rows), (dims.f_rows, dims.f_cols)
-    c_entries, f_entries = (rows * cols for rows, cols in shapes)
-    if max(c_entries, f_entries) > MAX_MATRIX_ENTRIES:
+def _refuse_above_cap(entries: int) -> None:
+    if entries > MAX_MATRIX_ENTRIES:
+        # A huge count may have more digits than Python converts to a string.
+        shown = entries if entries.bit_length() <= 64 else f"2^{entries.bit_length() - 1}"
         raise TooLarge(
-            f"C would hold {c_entries} entries and F {f_entries}, "
+            f"C or F would hold at least {shown} entries, "
             f"above the cap of {MAX_MATRIX_ENTRIES}"
         )
-    return shapes
+
+
+def _checked_dims(
+    params: SchemeParams,
+) -> Tuple[DerivedDims, Tuple[Tuple[int, int], Tuple[int, int]]]:
+    """derive_dims and the shapes of C and F; TooLarge above
+    MAX_MATRIX_ENTRIES entries. C is r*N x r*Nr with r >= 1 on every
+    feasible tuple, so N*Nr above the cap is refused before derive_dims
+    computes a single binomial."""
+    _refuse_above_cap(params.N * params.Nr)
+    dims = derive_dims(params)
+    shapes = (dims.r * dims.N, dims.f_rows), (dims.f_rows, dims.f_cols)
+    _refuse_above_cap(max(rows * cols for rows, cols in shapes))
+    return dims, shapes
 
 
 @dataclass(frozen=True)
@@ -427,9 +446,9 @@ def build_scheme(
 ) -> SchemeArtifact:
     """derive_dims, then construct C and F; deterministic in
     (params, assignment, seed). Raises TooLarge, before allocating either,
-    when C or F would hold more than MAX_MATRIX_ENTRIES entries."""
-    dims = derive_dims(params)
-    _checked_shapes(dims)
+    when C or F would hold more than MAX_MATRIX_ENTRIES entries (N*Nr above
+    the cap is refused before derive_dims)."""
+    dims, _ = _checked_dims(params)
     if assignment is None:
         assignment = cyclic_assignment(params)
     violations = validate_assignment(params, assignment)
@@ -517,8 +536,9 @@ def _entries(data: list, field: FieldModulus) -> np.ndarray:
 
 def artifact_from_json(text: str) -> SchemeArtifact:
     """Parse and check an artifact, failing fast: the header (JSON integers,
-    a prime decimal q), the size cap, the assignment, each matrix's q, shape
-    and length, and only then the entries and F's fixed blocks."""
+    a prime decimal q), the size cap (N*Nr before feasibility, then C and
+    F), the assignment, each matrix's q, shape and length, and only then the
+    entries and F's fixed blocks."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -532,8 +552,7 @@ def artifact_from_json(text: str) -> SchemeArtifact:
         field = make_field(_decimal(obj["q"], "q"))
         params = SchemeParams(**{k: _json_int(obj[k], k) for k in _PARAMS}, q=field)
         seed, retries = (_json_int(obj[k], k) for k in ("seed", "retries_used"))
-        dims = derive_dims(params)
-        shapes = _checked_shapes(dims)
+        dims, shapes = _checked_dims(params)
         assignment = DataAssignment.from_datasets(params.N, obj["assignment"]["D"])
         violations = validate_assignment(params, assignment)
         if violations:
@@ -544,7 +563,9 @@ def artifact_from_json(text: str) -> SchemeArtifact:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed artifact: {exc}") from exc
-    _check_fixed_blocks(f, dims, field)
+    broken = broken_fixed_block(f, dims, field)
+    if broken is not None:
+        raise ParseError(_FIXED_BLOCK_ERRORS[broken])
     return SchemeArtifact(
         params=params, dims=dims, assignment=assignment, seed=seed, retries_used=retries,
         c=FieldMatrix.wrap(c, field), f=FieldMatrix.wrap(f, field),

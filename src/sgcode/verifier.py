@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,7 +16,13 @@ import numpy as np
 from .exactmat import FieldMatrix, first_singular_subset, pivot_columns, rank
 from .field import TooLarge
 from .keyspace import comb0
-from .scheme import SchemeArtifact, SchemeParams, demand_pattern, derive_dims
+from .scheme import (
+    SchemeArtifact,
+    SchemeParams,
+    broken_fixed_block,
+    demand_pattern,
+    derive_dims,
+)
 
 BRUTE_FORCE_LIMIT = 10**6
 
@@ -156,50 +161,6 @@ def conditional_mi_direct(scheme: SchemeArtifact) -> Fraction:
     h_x_given_sum = _rank(np.concatenate([a, ssum], axis=0)) - _rank(ssum)
     h_x_given_g = _rank(np.concatenate([a, grad], axis=0)) - _rank(grad)
     return Fraction(h_x_given_sum - h_x_given_g)
-
-
-@dataclass(frozen=True)
-class DeterminismReport:
-    """Whether any Nr responder blocks already span all transcript rows."""
-
-    transcript_rank: int
-    subsets_checked: int
-    all_determined: bool
-    first_mismatch: Optional[Tuple[int, ...]]
-
-
-def verify_transcript_determinism(scheme: SchemeArtifact) -> DeterminismReport:
-    a = _transcript_coeff(scheme)
-    field = scheme.params.q
-    total = rank(FieldMatrix.wrap(a.copy(), field))
-    checked = 0
-    for subset in combinations(range(1, scheme.params.N + 1), scheme.params.Nr):
-        checked += 1
-        if rank(FieldMatrix.wrap(a[scheme.dims.server_rows(subset)], field)) != total:
-            return DeterminismReport(total, checked, False, subset)
-    return DeterminismReport(total, checked, True, None)
-
-
-@dataclass(frozen=True)
-class AccountingReport:
-    """Transcript entropy versus the counted content (piece sums plus keys),
-    in log-q units per symbol column; slack is reported, not failed."""
-
-    transcript_rank: int
-    expected_content: int
-
-    @property
-    def slack(self) -> int:
-        return self.expected_content - self.transcript_rank
-
-
-def entropy_accounting(scheme: SchemeArtifact) -> AccountingReport:
-    a = _transcript_coeff(scheme)
-    total = rank(FieldMatrix.wrap(a.copy(), scheme.params.q))
-    dims = scheme.dims
-    return AccountingReport(
-        transcript_rank=total, expected_content=dims.n + dims.key_cols
-    )
 
 
 # ---- brute-force entropy oracle ---------------------------------------------
@@ -341,6 +302,7 @@ class Certificate:
     encodability: EncodabilityReport
     security_mi: Fraction
     dims_identity: bool
+    broken_block: Optional[str]
 
     @property
     def passed(self) -> bool:
@@ -349,6 +311,7 @@ class Certificate:
             and self.encodability.passed
             and self.security_mi == 0
             and self.dims_identity
+            and self.broken_block is None
         )
 
     def to_json_dict(self) -> dict:
@@ -365,6 +328,7 @@ class Certificate:
             "encodability": {"violations": list(self.encodability.violations)},
             "security": {"mi_value": str(self.security_mi)},
             "dims": {"identity_holds": self.dims_identity},
+            "fixed_blocks": {"first_broken": self.broken_block},
             "passed": self.passed,
         }
 
@@ -388,13 +352,15 @@ def _dims_identity(scheme: SchemeArtifact) -> bool:
 
 
 def certify(scheme: SchemeArtifact) -> Certificate:
-    """Run every certification check; all four must pass before an artifact
+    """Run every certification check; all five must pass before an artifact
     may be called certified. P = C F is computed once for encodability and
-    security."""
+    security. The security measure assumes F's fixed blocks, and it is still
+    computed when one of them is broken."""
     p = _transcript_coeff(scheme)
     return Certificate(
         decodability=verify_decodability(scheme),
         encodability=_encodability(scheme, p),
         security_mi=_mi_rank(scheme, p),
         dims_identity=_dims_identity(scheme),
+        broken_block=broken_fixed_block(scheme.f.data, scheme.dims, scheme.params.q),
     )

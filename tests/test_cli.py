@@ -4,6 +4,7 @@ the byte-level determinism of artifacts written through the CLI."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -154,6 +155,16 @@ def test_build_refuses_oversized_tuple(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_build_refuses_n_times_nr_above_the_cap_fast(tmp_path, capsys):
+    args = ["build", "--K", "1", "--N", "200000", "--Nr", "200000", "--M", "100000",
+            "--S", "100000", "--out", str(tmp_path / "x.json")]
+    t0 = time.perf_counter()
+    assert main(args) == EXIT_INFEASIBLE
+    assert time.perf_counter() - t0 < 1.0
+    assert "above the cap" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_build_reports_construction_failure(tmp_path, capsys):
     # Over GF(2) with seed 0 every retry produces a singular responder stack.
     args = ["build", "--K", "1", "--N", "5", "--Nr", "5", "--M", "1", "--S", "2",
@@ -206,6 +217,18 @@ def test_verify_rejects_f_outside_the_pattern(tmp_path, capsys, weights):
     path.write_text(json.dumps(payload))
     assert main(["verify", str(path)]) == EXIT_IO
     assert "parse error: F1 is not the piece-sum pattern" in capsys.readouterr().err
+
+
+def test_verify_refuses_n_times_nr_above_the_cap_fast(tmp_path, capsys):
+    path = build_artifact(tmp_path)
+    capsys.readouterr()
+    payload = json.loads(path.read_text())
+    payload.update(N=10**6, Nr=10**6, M=5 * 10**5, S=5 * 10**5)
+    path.write_text(json.dumps(payload))
+    t0 = time.perf_counter()
+    assert main(["verify", str(path)]) == EXIT_IO
+    assert time.perf_counter() - t0 < 1.0
+    assert "above the cap" in capsys.readouterr().err
 
 
 def test_verify_missing_file(capsys):

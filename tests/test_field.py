@@ -1,32 +1,23 @@
-"""Field arithmetic, modulus validation, and the seeded sampling contract."""
+"""Modulus validation and the seeded sampling contract."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sgcode.field import (
     DEFAULT_MODULUS,
     INT64_SAFE_MODULUS,
-    DivisionByZero,
-    FieldElement,
     NotPrime,
     SeededRng,
     TooLarge,
     derive_seed,
-    element,
-    inv,
     make_field,
     sample_array,
-    sample_uniform,
     uniform_ints,
 )
 
 MERSENNE_61 = (1 << 61) - 1
-
-SMALL_PRIMES = [2, 3, 7, 97, DEFAULT_MODULUS]
 
 
 # ---- modulus validation ------------------------------------------------------
@@ -55,70 +46,6 @@ def test_default_modulus_is_the_int64_cutoff():
     assert DEFAULT_MODULUS == INT64_SAFE_MODULUS == 2147483647
     assert make_field(DEFAULT_MODULUS).dtype() is np.int64
     assert make_field(MERSENNE_61).dtype() is object
-
-
-# ---- element arithmetic ------------------------------------------------------
-
-
-def test_element_reduces_into_range():
-    f7 = make_field(7)
-    assert element(-1, f7).value == 6
-    assert element(15, f7).value == 1
-    assert element(0, f7).value == 0
-
-
-def test_field_element_validates_range():
-    f7 = make_field(7)
-    with pytest.raises(ValueError):
-        FieldElement(7, f7)
-    with pytest.raises(ValueError):
-        FieldElement(-1, f7)
-
-
-def test_mixed_moduli_rejected():
-    a = element(1, make_field(7))
-    b = element(1, make_field(11))
-    with pytest.raises(ValueError):
-        a + b
-
-
-def test_inverse_of_zero_rejected():
-    with pytest.raises(DivisionByZero):
-        inv(element(0, make_field(7)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    q=st.sampled_from(SMALL_PRIMES),
-    data=st.data(),
-)
-def test_field_axioms(q, data):
-    field = make_field(q)
-    draw = st.integers(min_value=0, max_value=q - 1)
-    a = FieldElement(data.draw(draw), field)
-    b = FieldElement(data.draw(draw), field)
-    c = FieldElement(data.draw(draw), field)
-    zero = FieldElement(0, field)
-    one = element(1, field)
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-    assert a * (b + c) == a * b + a * c
-    assert a - a == zero
-    assert a + (-a) == zero
-    assert a * one == a
-    if a.value != 0:
-        assert a * inv(a) == one
-        # Fermat: the multiplicative group has order q - 1.
-        assert a ** (q - 1) == one
-
-
-def test_pow_matches_repeated_multiplication():
-    f = make_field(97)
-    a = element(5, f)
-    acc = element(1, f)
-    for k in range(6):
-        assert a**k == acc
-        acc = acc * a
 
 
 # ---- seed derivation and raw streams -----------------------------------------
@@ -195,14 +122,3 @@ def test_sample_array_dtype_follows_modulus():
     assert small.dtype == np.int64
     assert big.dtype == object
     assert all(0 <= int(v) < MERSENNE_61 for v in big)
-
-
-def test_sample_uniform_yields_field_elements():
-    field = make_field(97)
-    values = sample_uniform(SeededRng(9), field, 20)
-    assert len(values) == 20
-    assert all(v.modulus == field for v in values)
-    again = sample_uniform(SeededRng(9), field, 20)
-    assert values == again
-    with pytest.raises(ValueError):
-        sample_uniform(SeededRng(9), field, -1)

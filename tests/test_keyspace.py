@@ -55,8 +55,8 @@ def test_enumerate_groups_lexicographic():
     index = enumerate_groups(4, 2)
     assert index.groups == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     assert len(index) == comb0(4, 2)
-    assert index.group(4) == (2, 3)
-    assert index.index_of[(1, 4)] == 3
+    assert index.groups[3] == (2, 3)
+    assert index.groups.index((1, 4)) == 2
 
 
 def test_enumerate_groups_pairs_of_three():
@@ -88,7 +88,7 @@ def test_availability_counts_and_membership():
         for n in range(1, N + 1):
             groups = available_groups(dims, n)
             assert len(groups) == comb0(N - 1, S - 1)
-            assert all(n in enumerate_groups(N, S).group(g) for g in groups)
+            assert all(n in enumerate_groups(N, S).groups[g - 1] for g in groups)
 
 
 # ---- intersection counting ---------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,10 @@ def test_cyclic_assignment_wraps_around():
         frozenset({2, 3}),
         frozenset({3, 1}),
     )
-    assert a.server_datasets == (
+    assert tuple(
+        frozenset(k for k in range(1, 4) if server in a.holders(k))
+        for server in range(1, 4)
+    ) == (
         frozenset({1, 3}),
         frozenset({1, 2}),
         frozenset({2, 3}),
@@ -672,4 +676,51 @@ def test_build_refuses_oversized_tuples_before_sampling(monkeypatch, tup):
     K, N, Nr, M, S = tup
     params = SchemeParams(K=K, N=N, Nr=Nr, M=M, S=S, q=Q)
     with pytest.raises(TooLarge, match=f"above the cap of {MAX_MATRIX_ENTRIES}"):
+        build_scheme(params, seed=0)
+
+
+class ReachedDeriveDims(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "N, Nr, M, S, reaches",
+    [
+        (1 << 13, 1 << 13, 1 << 12, 1 << 12, True),  # N*Nr = 2^26, the cap itself
+        (13421773, 5, 2, 2, False),  # N*Nr = 5 * 13421773 = 2^26 + 1
+        (2 * 10**5, 2 * 10**5, 10**5, 10**5, False),  # C(N, S) alone takes seconds
+    ],
+)
+def test_size_cap_refuses_n_times_nr_before_derive_dims(
+    monkeypatch, small_scheme, N, Nr, M, S, reaches
+):
+    # C is r*N x r*Nr with r >= 1, so N*Nr above the cap is refused before
+    # derive_dims computes any binomial, by build_scheme and by the parser.
+    def reached(params):
+        raise ReachedDeriveDims
+
+    obj = artifact_obj(small_scheme)
+    obj.update(K=1, N=N, Nr=Nr, M=M, S=S)
+    params = SchemeParams(K=1, N=N, Nr=Nr, M=M, S=S, q=Q)
+    monkeypatch.setattr("sgcode.scheme.derive_dims", reached)
+    cases = [
+        (lambda: build_scheme(params, seed=0), TooLarge),
+        (lambda: artifact_from_json(json.dumps(obj)), ParseError),
+    ]
+    for call, error in cases:
+        t0 = time.perf_counter()
+        if reaches:
+            with pytest.raises(ReachedDeriveDims):
+                call()
+        else:
+            with pytest.raises(error, match=f"above the cap of {MAX_MATRIX_ENTRIES}"):
+                call()
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_size_cap_message_survives_counts_too_long_to_print():
+    # N*Nr is below the cap, but C(11000, 5500) has 3310 digits and C's
+    # entry count twice that, beyond Python's int-to-string limit.
+    params = SchemeParams(K=1, N=11000, Nr=6000, M=10999, S=5500, q=Q)
+    with pytest.raises(TooLarge, match=r"at least 2\^\d+ entries, above the cap"):
         build_scheme(params, seed=0)

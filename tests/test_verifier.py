@@ -1,6 +1,6 @@
 """Certification checks: decodability, encodability, the rank-based security
-measure against a direct oracle and a brute-force enumeration oracle, entropy
-accounting, monotonicity, and the certificate report format."""
+measure against a direct oracle and a brute-force enumeration oracle, F's
+fixed blocks, monotonicity, and the certificate report format."""
 
 from __future__ import annotations
 
@@ -11,8 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sgcode.engine import simulate_rounds
 from sgcode.exactmat import FieldMatrix
-from sgcode.field import TooLarge, make_field
+from sgcode.field import SeededRng, TooLarge, make_field
 from sgcode.scheme import (
     DataAssignment,
     SchemeArtifact,
@@ -25,16 +26,19 @@ from sgcode.verifier import (
     certify,
     conditional_mi_direct,
     conditional_mi_rank,
-    entropy_accounting,
     entropy_bruteforce,
     rank_entropy,
     verify_decodability,
     verify_encodability,
     verify_monotonicity,
-    verify_transcript_determinism,
 )
 
 Q = make_field(2147483647)
+
+
+def fm(rows, field):
+    """A matrix from nested int lists, reduced into [0, q)."""
+    return FieldMatrix.wrap(np.array(rows, dtype=field.dtype()) % field.q, field)
 
 
 # ---- fixtures ---------------------------------------------------------------
@@ -201,8 +205,8 @@ def test_security_matches_bruteforce_enumeration(tiny3):
 
 def test_rank_entropy_known_values():
     f3 = make_field(3)
-    assert rank_entropy(LinearObservable(FieldMatrix.identity(4, f3))) == 4
-    assert rank_entropy(LinearObservable(FieldMatrix.zeros(2, 5, f3))) == 0
+    assert rank_entropy(LinearObservable(fm(np.eye(4), f3))) == 4
+    assert rank_entropy(LinearObservable(fm(np.zeros((2, 5)), f3))) == 0
 
 
 def test_bruteforce_agrees_with_rank_entropy_on_random_observables():
@@ -220,9 +224,9 @@ def test_bruteforce_agrees_with_rank_entropy_on_random_observables():
 
 def test_bruteforce_pairwise_mi():
     field = make_field(3)
-    e1 = LinearObservable(FieldMatrix.from_rows([[1, 0]], field))
-    e2 = LinearObservable(FieldMatrix.from_rows([[0, 1]], field))
-    same = LinearObservable(FieldMatrix.from_rows([[2, 0]], field))
+    e1 = LinearObservable(fm([[1, 0]], field))
+    e2 = LinearObservable(fm([[0, 1]], field))
+    same = LinearObservable(fm([[2, 0]], field))
     report = entropy_bruteforce([e1, e2, same], 3, 2)
     assert report.entropies == (1, 1, 1)
     assert report.joint_entropy == 2
@@ -240,7 +244,7 @@ def test_bruteforce_empty_observable_list():
 
 def test_bruteforce_refuses_oversized_enumeration():
     field = make_field(2)
-    obs = LinearObservable(FieldMatrix.zeros(1, 20, field))
+    obs = LinearObservable(fm(np.zeros((1, 20)), field))
     with pytest.raises(TooLarge):
         entropy_bruteforce([obs], 2, 20)
 
@@ -248,30 +252,9 @@ def test_bruteforce_refuses_oversized_enumeration():
 def test_bruteforce_validates_width_and_modulus():
     f3 = make_field(3)
     with pytest.raises(ValueError, match="width"):
-        entropy_bruteforce([LinearObservable(FieldMatrix.zeros(1, 4, f3))], 3, 5)
+        entropy_bruteforce([LinearObservable(fm(np.zeros((1, 4)), f3))], 3, 5)
     with pytest.raises(ValueError, match="modulus"):
-        entropy_bruteforce([LinearObservable(FieldMatrix.zeros(1, 5, f3))], 5, 5)
-
-
-# ---- determinism and accounting ---------------------------------------------
-
-
-def test_transcript_determinism(worked, wide):
-    for scheme in (worked, wide):
-        report = verify_transcript_determinism(scheme)
-        assert report.all_determined
-        assert report.first_mismatch is None
-        assert report.transcript_rank == scheme.dims.n + scheme.dims.key_cols
-    assert verify_transcript_determinism(worked).subsets_checked == 1
-    assert verify_transcript_determinism(wide).subsets_checked == 5
-
-
-def test_entropy_accounting_has_no_slack(worked, wide, tiny3):
-    for scheme in (worked, wide, tiny3):
-        report = entropy_accounting(scheme)
-        assert report.transcript_rank == scheme.dims.n + scheme.dims.key_cols
-        assert report.expected_content == scheme.dims.n + scheme.dims.key_cols
-        assert report.slack == 0
+        entropy_bruteforce([LinearObservable(fm(np.zeros((1, 5)), f3))], 5, 5)
 
 
 # ---- monotonicity -----------------------------------------------------------
@@ -313,6 +296,7 @@ def test_certificate_passes_on_worked_example(worked):
     assert cert.encodability.passed
     assert cert.security_mi == 0
     assert cert.dims_identity
+    assert cert.broken_block is None
 
 
 def test_certificate_json_shape(worked):
@@ -322,6 +306,7 @@ def test_certificate_json_shape(worked):
         "encodability",
         "security",
         "dims",
+        "fixed_blocks",
         "passed",
     }
     assert payload["decodability"] == {
@@ -332,6 +317,7 @@ def test_certificate_json_shape(worked):
     assert payload["encodability"] == {"violations": []}
     assert payload["security"] == {"mi_value": "0"}
     assert payload["dims"] == {"identity_holds": True}
+    assert payload["fixed_blocks"] == {"first_broken": None}
     assert payload["passed"] is True
     assert certify(worked).to_json().endswith("\n")
 
@@ -348,3 +334,24 @@ def test_certificate_fails_on_each_corruption(worked):
 
     mask_bad = certify(corrupt_demand(worked, n, nk, 0))
     assert not mask_bad.passed and mask_bad.security_mi > 0
+    assert mask_bad.broken_block == "F3"
+
+    corner_bad = certify(corrupt_demand(worked, 0, nk, 1))
+    assert not corner_bad.passed and corner_bad.broken_block == "upper-right"
+
+
+def test_certificate_refuses_doubled_f1_and_f2(worked):
+    # Doubling F's gradient columns doubles F1 and F2 together. C F keeps
+    # its zero pattern and leaks nothing, yet every responder subset then
+    # decodes twice the gradient sum.
+    nk = worked.dims.n * worked.params.K
+    data = worked.f.data.copy()
+    data[:, :nk] = data[:, :nk] * 2 % Q.q
+    doubled = dataclasses.replace(worked, f=FieldMatrix.wrap(data, Q))
+    cert = certify(doubled)
+    assert cert.decodability.passed and cert.encodability.passed
+    assert cert.security_mi == 0 and cert.dims_identity
+    assert cert.broken_block == "F1"
+    assert not cert.passed
+    assert cert.to_json_dict()["fixed_blocks"] == {"first_broken": "F1"}
+    assert not simulate_rounds(doubled, None, 2, SeededRng(0)).all_match
