@@ -8,13 +8,14 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactmat import FieldMatrix, SubsetDecoder
-from .field import SeededRng, sample_array
-from .scheme import SchemeArtifact
+from .exactmat import FieldMatrix
+from .field import SeededRng, TooLarge, sample_array
+from .scheme import MAX_MATRIX_ENTRIES, SchemeArtifact, is_integer
 
 
 class BadLength(ValueError):
@@ -28,43 +29,21 @@ class WrongSubsetSize(ValueError):
 @dataclass(frozen=True)
 class RoundState:
     """One round's raw randomness: row k is gradient k (length L), row v is
-    key v (length alpha * piece_len)."""
+    key v (alpha pieces of ell = L/n symbols)."""
 
     gradients: FieldMatrix
     keys: FieldMatrix
-    piece_len: int
-
-    @property
-    def L(self) -> int:
-        return self.gradients.cols
 
 
-@dataclass(frozen=True)
-class MessageVector:
-    """W, whose rows line up with F's columns as DerivedDims lays them out:
-    gradient pieces first, interleaved by dataset, then the key pieces."""
-
-    matrix: FieldMatrix
-    piece_len: int
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """All servers' messages for one round, stacked r rows per server."""
-
-    stacked: FieldMatrix
-    scheme: SchemeArtifact
-
-    def message(self, server: int) -> FieldMatrix:
-        """The r x piece_len block X_n of a 1-based server."""
-        return self.stacked.take_rows(self.scheme.dims.server_rows([server]))
+def _check_length(scheme: SchemeArtifact, L: int) -> None:
+    if L < 0 or L % scheme.dims.n:
+        raise BadLength(f"L={L} is not a nonnegative multiple of n={scheme.dims.n}")
 
 
 def sample_round(scheme: SchemeArtifact, L: int, rng: SeededRng) -> RoundState:
     """iid uniform gradients and keys; keys carry L*alpha/n symbols each."""
+    _check_length(scheme, L)
     dims = scheme.dims
-    if L < 0 or L % dims.n:
-        raise BadLength(f"L={L} is not a nonnegative multiple of n={dims.n}")
     ell = L // dims.n
     field = scheme.params.q
     grads = sample_array(rng, field, scheme.params.K * L).reshape(
@@ -74,9 +53,7 @@ def sample_round(scheme: SchemeArtifact, L: int, rng: SeededRng) -> RoundState:
         dims.group_count, dims.alpha * ell
     )
     return RoundState(
-        gradients=FieldMatrix.wrap(grads, field),
-        keys=FieldMatrix.wrap(keys, field),
-        piece_len=ell,
+        gradients=FieldMatrix.wrap(grads, field), keys=FieldMatrix.wrap(keys, field)
     )
 
 
@@ -85,67 +62,60 @@ def default_length(scheme: SchemeArtifact) -> int:
     return scheme.dims.n * 4
 
 
-def build_W(round_state: RoundState, scheme: SchemeArtifact) -> MessageVector:
-    """Stack gradient pieces then key pieces in the fixed interleaved order."""
+def build_W(round_state: RoundState, scheme: SchemeArtifact) -> FieldMatrix:
+    """The message vector W, f_cols x ell, whose rows line up with F's
+    columns as DerivedDims lays them out: gradient pieces first, interleaved
+    by dataset, then the key pieces."""
     dims = scheme.dims
     K = scheme.params.K
-    ell = round_state.piece_len
+    ell = round_state.gradients.cols // dims.n
     g = round_state.gradients.data.reshape(K, dims.n, ell)
     top = g.transpose(1, 0, 2).reshape(dims.n * K, ell)
     k = round_state.keys.data.reshape(dims.group_count, dims.alpha, ell)
     bottom = k.transpose(1, 0, 2).reshape(dims.alpha * dims.group_count, ell)
     w = np.concatenate([top, bottom], axis=0)
-    return MessageVector(
-        matrix=FieldMatrix.wrap(w, scheme.params.q), piece_len=ell
-    )
+    return FieldMatrix.wrap(w, scheme.params.q)
 
 
-def encode(scheme: SchemeArtifact, w: MessageVector) -> Transcript:
-    """All servers' messages at once: C (F W)."""
-    return Transcript(stacked=scheme.c @ (scheme.f @ w.matrix), scheme=scheme)
+def encode(scheme: SchemeArtifact, w: FieldMatrix) -> FieldMatrix:
+    """The transcript: all servers' messages C (F W), stacked r rows per
+    server as DerivedDims.server_rows lays them out."""
+    return scheme.c @ (scheme.f @ w)
 
 
 def _responder_subset(
     scheme: SchemeArtifact, responders: Sequence[int]
 ) -> Tuple[int, ...]:
-    """The responders as a sorted tuple; raises unless they form a size-Nr
-    subset of [1, N]."""
-    subset = tuple(sorted(set(int(s) for s in responders)))
-    if len(subset) != scheme.params.Nr or not all(
-        1 <= s <= scheme.params.N for s in subset
-    ):
-        raise WrongSubsetSize(
-            f"responders {sorted(responders)} is not a size-{scheme.params.Nr} "
-            f"subset of [1, {scheme.params.N}]"
-        )
-    return subset
-
-
-def _decoder(scheme: SchemeArtifact) -> SubsetDecoder:
-    """Piece sums from any responder subset's stacked messages."""
+    """The responders as a sorted tuple; raises unless they are integer ids
+    (not bools, floats or strings) forming a size-Nr subset of [1, N]."""
     p = scheme.params
-    return SubsetDecoder(scheme.c.data, p.q.q, scheme.dims.r, p.Nr, scheme.dims.n)
+    ids = list(responders)
+    if all(is_integer(s) for s in ids):
+        subset = tuple(sorted(set(int(s) for s in ids)))
+        if len(subset) == p.Nr and all(1 <= s <= p.N for s in subset):
+            return subset
+    raise WrongSubsetSize(
+        f"responders {ids} is not a size-{p.Nr} subset of [1, {p.N}]"
+    )
 
 
 def decode(
-    scheme: SchemeArtifact, transcript: Transcript, responders: Sequence[int]
+    scheme: SchemeArtifact, transcript: FieldMatrix, responders: Sequence[int]
 ) -> FieldMatrix:
     """Recover the length-L gradient sum from the responder subset: the first
-    n rows of C_U^-1 X_U are the piece sums. Raises exactmat.Singular naming
-    the subset when C_U, or the first subset's C_U0, is singular."""
+    n rows of C_U^-1 X_U are the piece sums. Uses the artifact's one decoder.
+    Raises exactmat.Singular naming the subset when C_U, or the first
+    subset's C_U0, is singular."""
     subset = _responder_subset(scheme, responders)
-    x_u = transcript.stacked.data[scheme.dims.server_rows(subset)]
-    y = _decoder(scheme)(subset, x_u)
+    x_u = transcript.data[scheme.dims.server_rows(subset)]
+    y = scheme.decoder(subset, x_u)
     return FieldMatrix.wrap(y.reshape(1, y.size), scheme.params.q)
 
 
 def direct_gradient_sum(round_state: RoundState) -> FieldMatrix:
     """Reference value: sum the gradients symbol-wise."""
-    q = round_state.gradients.modulus.q
-    total = round_state.gradients.data.sum(axis=0) % q
-    return FieldMatrix.wrap(
-        total.reshape(1, -1), round_state.gradients.modulus
-    )
+    g = round_state.gradients
+    return FieldMatrix.wrap(g.data.sum(axis=0, keepdims=True) % g.modulus.q, g.modulus)
 
 
 # ---- multi-round simulation -------------------------------------------------
@@ -191,13 +161,21 @@ def check_simulation_inputs(
 ) -> Tuple[int, Optional[Tuple[int, ...]]]:
     """Validate simulate_rounds' inputs before any work is done: returns L
     (default 4n) and the sorted responders, or raises BadLength,
-    WrongSubsetSize or ValueError."""
+    WrongSubsetSize, TooLarge or ValueError. TooLarge refuses an L whose
+    smallest simulation block, min(rounds, C(N,Nr)) message vectors W of
+    f_cols * L/n symbols, holds more than MAX_MATRIX_ENTRIES symbols."""
     if L is None:
         L = default_length(scheme)
-    if L < 0 or L % scheme.dims.n:
-        raise BadLength(f"L={L} is not a nonnegative multiple of n={scheme.dims.n}")
+    _check_length(scheme, L)
     if rounds < 0:
         raise ValueError(f"rounds={rounds} is negative")
+    dims, p = scheme.dims, scheme.params
+    smallest = min(rounds, comb(p.N, p.Nr)) * dims.f_cols * (L // dims.n)
+    if smallest > MAX_MATRIX_ENTRIES:
+        raise TooLarge(
+            f"L={L} needs {smallest} symbols of W per block, "
+            f"above the cap of {MAX_MATRIX_ENTRIES}"
+        )
     if responders is not None:
         responders = _responder_subset(scheme, responders)
     return L, responders
@@ -226,14 +204,13 @@ def simulate_rounds(
     least one: a block is encoded in one stacked product and then dropped,
     so memory does not grow with the round count. Round t draws from
     rng.spawn(f"round-{t}"), so the blocking does not change any round.
-    Decoding eliminates the first subset's C_U0 once per call and then costs
-    a small block solve per distinct responder subset in a block; it
-    computes exactly what per-round decode calls would, and raises
+    Decoding uses the artifact's one decoder, as decode does, and costs a
+    small block solve per distinct responder subset in a block; it raises
     exactmat.Singular naming the first scheduled subset whose C_U is
     singular.
     """
     L, fixed = check_simulation_inputs(scheme, L, rounds, responders)
-    dims = scheme.dims
+    dims, field = scheme.dims, scheme.params.q
     ell = L // dims.n
     rotation = rotating_responders(scheme)
     if fixed is not None:
@@ -244,28 +221,21 @@ def simulate_rounds(
     per_rotation = len(rotation) * dims.f_cols * ell
     block_len = len(rotation) * max(1, _BLOCK_SYMBOLS // max(1, per_rotation))
     reports: List[RoundReport] = []
-    decoder = _decoder(scheme) if rounds else None
     for start in range(0, rounds, block_len):
         block = range(start, min(start + block_len, rounds))
         states = [sample_round(scheme, L, rng.spawn(f"round-{t}")) for t in block]
-        w_big = np.concatenate([build_W(s, scheme).matrix.data for s in states], axis=1)
-        x_big = (
-            scheme.c @ (scheme.f @ FieldMatrix.wrap(w_big, scheme.params.q))
-        ).data
+        w_big = np.concatenate([build_W(s, scheme).data for s in states], axis=1)
+        x_big = encode(scheme, FieldMatrix.wrap(w_big, field)).data
         by_subset: Dict[Tuple[int, ...], List[int]] = {}
         for pos, t in enumerate(block):
             by_subset.setdefault(schedule[t], []).append(pos)
         decoded: Dict[int, FieldMatrix] = {}
         for subset, positions in by_subset.items():
-            cols = np.concatenate(
-                [np.arange(pos * ell, (pos + 1) * ell) for pos in positions]
-            )
-            y = decoder(subset, x_big[np.ix_(dims.server_rows(subset), cols)])
-            for i, pos in enumerate(positions):
-                piece = y[:, i * ell : (i + 1) * ell]
-                decoded[pos] = FieldMatrix.wrap(
-                    piece.reshape(1, dims.n * ell), scheme.params.q
-                )
+            cols = (np.array(positions)[:, None] * ell + np.arange(ell)).reshape(-1)
+            y = scheme.decoder(subset, x_big[np.ix_(dims.server_rows(subset), cols)])
+            sums = y.reshape(dims.n, len(positions), ell).transpose(1, 0, 2)
+            for pos, piece_sums in zip(positions, sums):
+                decoded[pos] = FieldMatrix.wrap(piece_sums.reshape(1, -1), field)
         for pos, (t, state) in enumerate(zip(block, states)):
             direct = direct_gradient_sum(state)
             reports.append(

@@ -12,7 +12,13 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .analysis import Infeasible, feasibility_violation
-from .exactmat import FieldMatrix, Unsolvable, first_singular_subset, solve_linear
+from .exactmat import (
+    FieldMatrix,
+    SubsetDecoder,
+    Unsolvable,
+    first_singular_subset,
+    solve_linear,
+)
 from .field import (
     FieldModulus,
     SeededRng,
@@ -163,8 +169,13 @@ def gradient_columns(dims: DerivedDims, params: SchemeParams, dataset: int) -> L
 # ---- data assignment --------------------------------------------------------
 
 
+def is_integer(value: object) -> bool:
+    """An int or numpy integer, and not a bool: the test for a server id."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _server_id(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise BadAssignment(f"server id {value!r} is not an integer")
     return int(value)
 
@@ -437,6 +448,15 @@ class SchemeArtifact:
     f: FieldMatrix
     seed: int
     retries_used: int
+
+    @cached_property
+    def decoder(self) -> SubsetDecoder:
+        """The piece sums, the first n rows of C_U^-1 X_U, from any responder
+        subset's stacked messages. Built from C on first use, so one artifact
+        eliminates its C_U0 once; raises exactmat.Singular naming U0 when
+        C_U0 is singular. certify never reads it."""
+        p = self.params
+        return SubsetDecoder(self.c.data, p.q.q, self.dims.r, p.Nr, self.dims.n)
 
 
 def build_scheme(

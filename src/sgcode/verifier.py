@@ -169,11 +169,14 @@ def conditional_mi_direct(scheme: SchemeArtifact) -> Fraction:
 def _entropy_from_codes(codes: np.ndarray, q: int, var_count: int) -> Fraction:
     """Exact base-q entropy of the empirical distribution of codes over all
     q^var_count equiprobable assignments. Counts must be powers of q, which
-    holds for linear observables (fibers are cosets)."""
-    _, counts = np.unique(codes, return_counts=True)
+    holds for linear observables (fibers are cosets). codes holds one code
+    per assignment, or one row of chunk codes per assignment."""
+    _, counts = np.unique(
+        codes, axis=0 if codes.ndim > 1 else None, return_counts=True
+    )
     total = q**var_count
     acc = Fraction(0)
-    for c in counts:
+    for c, times in zip(*np.unique(counts, return_counts=True)):
         c = int(c)
         e = 0
         while c % q == 0:
@@ -181,7 +184,7 @@ def _entropy_from_codes(codes: np.ndarray, q: int, var_count: int) -> Fraction:
             e += 1
         if c != 1:
             raise ValueError("count is not a power of q; entropy not rational")
-        acc += Fraction(e * (q**e), total)
+        acc += Fraction(int(times) * e * (q**e), total)
     return Fraction(var_count) - acc
 
 
@@ -209,11 +212,19 @@ def entropy_bruteforce(
     assign = np.empty((total, var_count), dtype=np.int64)
     for j in range(var_count):
         assign[:, j] = (idx // q**j) % q
+    # Up to `per` output rows pack into one int64 code below q^per <= 2^63.
+    per = 1
+    while q ** (per + 1) <= 1 << 63:
+        per += 1
+    weights = q ** np.arange(per, dtype=np.int64)
 
     def _codes(coeff: np.ndarray) -> np.ndarray:
         vals = assign @ coeff.T.astype(np.int64) % q
-        weights = q ** np.arange(vals.shape[1], dtype=np.int64)
-        return vals @ weights
+        rows = vals.shape[1]
+        if rows <= per:
+            return vals @ weights[:rows]
+        chunks = [vals[:, i : i + per] for i in range(0, rows, per)]
+        return np.stack([c @ weights[: c.shape[1]] for c in chunks], axis=1)
 
     per_obs = [_codes(np.asarray(obs.coeff.data)) for obs in observables]
     entropies = tuple(

@@ -334,6 +334,19 @@ def test_simulate_refuses_bad_inputs_before_certifying(
     assert "invalid parameters" in capsys.readouterr().err
 
 
+def test_simulate_refuses_huge_L_before_certifying(tmp_path, capsys, monkeypatch):
+    # One round of the worked scheme stacks f_cols * L/n = 4L symbols of W.
+    path = build_artifact(tmp_path)
+
+    def no_certify(artifact):
+        raise AssertionError("certify ran before L was bounded")
+
+    monkeypatch.setattr(sgcode.cli, "certify", no_certify)
+    huge = str(3 << 40)
+    assert main(["simulate", str(path), "--L", huge]) == EXIT_INFEASIBLE
+    assert "above the cap" in capsys.readouterr().err
+
+
 def test_simulate_refuses_uncertified_artifact(tmp_path, capsys):
     path = build_artifact(tmp_path)
     payload = json.loads(path.read_text())

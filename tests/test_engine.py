@@ -16,11 +16,11 @@ from sgcode import engine
 from sgcode.analysis import cost_R
 from sgcode.engine import (
     BadLength,
-    MessageVector,
     RoundState,
     WrongSubsetSize,
     _digest,
     build_W,
+    check_simulation_inputs,
     decode,
     default_length,
     direct_gradient_sum,
@@ -29,10 +29,10 @@ from sgcode.engine import (
     sample_round,
     simulate_rounds,
 )
-from sgcode.exactmat import FieldMatrix, Singular, solve_linear
-from sgcode.field import SeededRng, make_field
+from sgcode.exactmat import FieldMatrix, Singular, SubsetDecoder, solve_linear
+from sgcode.field import SeededRng, TooLarge, make_field
 from sgcode.keyspace import enumerate_groups
-from sgcode.scheme import DataAssignment, SchemeParams, build_scheme
+from sgcode.scheme import MAX_MATRIX_ENTRIES, DataAssignment, SchemeParams, build_scheme
 
 Q = make_field(2147483647)
 P31, P61 = 2147483647, (1 << 61) - 1
@@ -59,8 +59,7 @@ def test_sample_round_shapes(scheme):
     state = sample_round(scheme, 6, SeededRng(1))
     assert state.gradients.shape == (3, 6)
     assert state.keys.shape == (3, 2)
-    assert state.piece_len == 2
-    assert state.L == 6
+    assert build_W(state, scheme).cols == 2
 
 
 def test_sample_round_rejects_bad_lengths(scheme):
@@ -75,7 +74,7 @@ def test_default_length_is_four_pieces(scheme):
 
 
 def test_message_layout_interleaves_pieces(scheme):
-    # K=3, n=3, piece_len=2: gradient k's piece i must land at
+    # K=3, n=3, ell=2: gradient k's piece i must land at
     # row k + (i-1)*K, keys at row n*K + v (single key piece each).
     grads = FieldMatrix.wrap(
         np.array([[11, 12, 13, 14, 15, 16],
@@ -84,9 +83,9 @@ def test_message_layout_interleaves_pieces(scheme):
         Q,
     )
     keys = FieldMatrix.wrap(np.array([[101, 102], [201, 202], [301, 302]]), Q)
-    w = build_W(RoundState(gradients=grads, keys=keys, piece_len=2), scheme)
-    assert w.matrix.shape == (12, 2)
-    rows = w.matrix.data.tolist()
+    w = build_W(RoundState(gradients=grads, keys=keys), scheme)
+    assert w.shape == (12, 2)
+    rows = w.data.tolist()
     assert rows[0] == [11, 12]   # dataset 1, piece 1
     assert rows[1] == [21, 22]   # dataset 2, piece 1
     assert rows[4] == [23, 24]   # dataset 2, piece 2
@@ -96,12 +95,12 @@ def test_message_layout_interleaves_pieces(scheme):
     assert rows[11] == [301, 302]
 
 
-def assert_W_follows_layout(w: MessageVector, state: RoundState, scheme):
+def assert_W_follows_layout(w: FieldMatrix, state: RoundState, scheme):
     """Read gradients and keys back from W through the layout map: dataset
     k's rows are gradient_columns(k), and the rows nK + hidden_key_offsets(s)
     hold, in order, the key pieces of the groups that exclude server s."""
     dims = scheme.dims
-    data, ell, nk = w.matrix.data, w.piece_len, dims.n * dims.K
+    data, ell, nk = w.data, w.cols, dims.n * dims.K
     for k in range(1, dims.K + 1):
         got = data[dims.gradient_columns(k)].reshape(-1)
         assert np.array_equal(got, state.gradients.data[k - 1])
@@ -138,11 +137,11 @@ def test_encode_is_the_matrix_product(scheme):
     state = sample_round(scheme, 6, SeededRng(2))
     w = build_W(state, scheme)
     transcript = encode(scheme, w)
-    want = scheme.c @ (scheme.f @ w.matrix)
-    assert transcript.stacked == want
+    want = scheme.c @ (scheme.f @ w)
+    assert transcript == want
     r = scheme.dims.r
     for server in (1, 2, 3):
-        block = transcript.message(server)
+        block = transcript.take_rows(scheme.dims.server_rows([server]))
         assert block.shape == (r, 2)
         assert np.array_equal(
             block.data, want.data[(server - 1) * r : server * r]
@@ -156,16 +155,16 @@ def test_encode_uses_only_local_data(scheme):
     state = sample_round(scheme, 6, SeededRng(3))
     w_full = build_W(state, scheme)
     for server in range(1, params.N + 1):
-        masked = np.array(w_full.matrix.data)
+        masked = np.array(w_full.data)
         for k in range(1, params.K + 1):
             if server not in scheme.assignment.holders(k):
                 masked[dims.gradient_columns(k)] = 0
         masked[dims.n * params.K + dims.hidden_key_offsets(server)] = 0
-        w_masked = MessageVector(
-            matrix=FieldMatrix.wrap(masked, params.q), piece_len=2
-        )
-        full_msg = encode(scheme, w_full).message(server)
-        local_msg = encode(scheme, w_masked).message(server)
+        w_masked = FieldMatrix.wrap(masked, params.q)
+        assert w_masked.cols == 2
+        rows = dims.server_rows([server])
+        full_msg = encode(scheme, w_full).take_rows(rows)
+        local_msg = encode(scheme, w_masked).take_rows(rows)
         assert full_msg == local_msg
 
 
@@ -203,6 +202,39 @@ def test_decode_rejects_bad_subsets(wide_scheme):
         decode(wide_scheme, transcript, (1, 2, 3, 3))
 
 
+@pytest.mark.parametrize("responders", [[1.9, 2, 3, 4], [True, 2, 3, 4], ["1", 2, 3, 4]])
+def test_decode_and_simulate_refuse_non_integer_ids(wide_scheme, responders):
+    state = sample_round(wide_scheme, wide_scheme.dims.n, SeededRng(4))
+    transcript = encode(wide_scheme, build_W(state, wide_scheme))
+    with pytest.raises(WrongSubsetSize):
+        decode(wide_scheme, transcript, responders)
+    with pytest.raises(WrongSubsetSize):
+        simulate_rounds(
+            wide_scheme, L=None, rounds=1, rng=SeededRng(0), responders=responders
+        )
+    ids = [np.int64(s) for s in (1, 2, 3, 4)]
+    assert decode(wide_scheme, transcript, ids) == direct_gradient_sum(state)
+
+
+def test_decode_builds_one_decoder_per_artifact(wide_scheme, monkeypatch):
+    built = []
+    original = SubsetDecoder.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(SubsetDecoder, "__init__", counted)
+    fresh = dataclasses.replace(wide_scheme)
+    state = sample_round(fresh, fresh.dims.n, SeededRng(4))
+    transcript = encode(fresh, build_W(state, fresh))
+    for subset in rotating_responders(fresh):
+        assert decode(fresh, transcript, subset) == direct_gradient_sum(state)
+    report = simulate_rounds(fresh, L=None, rounds=5, rng=SeededRng(8))
+    assert report.all_match
+    assert len(built) == 1
+
+
 def with_server_block(scheme, server, source):
     """The scheme with server's block of C overwritten by source's."""
     r = scheme.dims.r
@@ -231,7 +263,7 @@ def test_decoders_match_reference_solve_over_full_rotation(tup, q, pieces):
         state = sample_round(scheme, L, SeededRng(3).spawn(f"round-{t}"))
         transcript = encode(scheme, build_W(state, scheme))
         rows = [i for s in subset for i in range((s - 1) * r, s * r)]
-        y = solve_linear(scheme.c.take_rows(rows), transcript.stacked.take_rows(rows))
+        y = solve_linear(scheme.c.take_rows(rows), transcript.take_rows(rows))
         want = FieldMatrix.wrap(y.data[: scheme.dims.n].reshape(1, L), params.q)
         assert want == direct_gradient_sum(state)
         assert decode(scheme, transcript, subset) == want
@@ -253,6 +285,19 @@ def test_singular_subset_is_named(wide_scheme, server, source, first):
         simulate_rounds(bad, L=None, rounds=5, rng=SeededRng(0))
     if first != (1, 2, 3, 4):
         assert decode(bad, transcript, (1, 2, 3, 4)) == direct_gradient_sum(state)
+
+
+def test_replaced_artifact_gets_its_own_decoder(wide_scheme):
+    # The copy's C differs, so the decoder cached on the original must not
+    # carry over to it.
+    state = sample_round(wide_scheme, wide_scheme.dims.n, SeededRng(4))
+    transcript = encode(wide_scheme, build_W(state, wide_scheme))
+    assert decode(wide_scheme, transcript, (1, 2, 4, 5)) == direct_gradient_sum(state)
+    bad = with_server_block(wide_scheme, 5, 4)
+    assert bad.decoder is not wide_scheme.decoder
+    with pytest.raises(Singular, match=re.escape(str((1, 2, 4, 5)))):
+        decode(bad, encode(bad, build_W(state, bad)), (1, 2, 4, 5))
+    assert decode(wide_scheme, transcript, (1, 2, 4, 5)) == direct_gradient_sum(state)
 
 
 def test_zero_length_round_is_vacuous(scheme):
@@ -374,6 +419,22 @@ def test_simulation_validates_inputs(wide_scheme):
         )
     with pytest.raises(ValueError, match="negative"):
         simulate_rounds(wide_scheme, L=None, rounds=-1, rng=SeededRng(0))
+
+
+def test_simulation_bounds_the_smallest_block(scheme, wide_scheme):
+    # The worked scheme stacks f_cols * L/n = 4L symbols of W per round and
+    # has one subset; wide_scheme's smallest block is min(rounds, 5) rounds.
+    L = MAX_MATRIX_ENTRIES // 12 * 3
+    assert check_simulation_inputs(scheme, L, 7) == (L, None)
+    with pytest.raises(TooLarge):
+        check_simulation_inputs(scheme, L + 3, 7)
+    dims = wide_scheme.dims
+    L = MAX_MATRIX_ENTRIES // (2 * dims.f_cols) * dims.n
+    assert check_simulation_inputs(wide_scheme, L, 2)[0] == L
+    with pytest.raises(TooLarge):
+        check_simulation_inputs(wide_scheme, L, 3)
+    with pytest.raises(TooLarge):
+        simulate_rounds(wide_scheme, L=L, rounds=100, rng=SeededRng(0))
 
 
 def test_simulation_zero_rounds(wide_scheme):

@@ -222,6 +222,19 @@ def test_bruteforce_agrees_with_rank_entropy_on_random_observables():
         assert report.entropies[0] == rank_entropy(obs)
 
 
+@pytest.mark.parametrize("height", [65, 130])
+def test_bruteforce_counts_tall_observables_exactly(height):
+    # 64 GF(2) rows fill one int64 code; the rows past them must still count.
+    coeff = np.zeros((height, 3), dtype=np.int64)
+    coeff[height - 1, 0] = 1
+    obs = LinearObservable(FieldMatrix.wrap(coeff, make_field(2)))
+    report = entropy_bruteforce([obs, obs], 2, 3)
+    assert report.entropies == (1, 1)
+    assert report.entropies[0] == rank_entropy(obs)
+    assert report.joint_entropy == 1
+    assert report.pairwise_mi[(0, 1)] == 1
+
+
 def test_bruteforce_pairwise_mi():
     field = make_field(3)
     e1 = LinearObservable(fm([[1, 0]], field))
