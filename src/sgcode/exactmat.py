@@ -256,10 +256,15 @@ def rank(a: FieldMatrix) -> int:
     return len(pivot_columns(a))
 
 
-def _block_rows(r: int, positions: List[int]) -> np.ndarray:
-    """Row indices of the r-row server blocks at the 0-based positions."""
-    p = np.array(positions, dtype=np.intp)
-    return (p[:, None] * r + np.arange(r)).reshape(-1)
+def _row_blocks(r: int, count: int) -> List[np.ndarray]:
+    """block[i] holds the r row indices of the server at 0-based position i."""
+    return [np.arange(r * i, r * (i + 1)) for i in range(count)]
+
+
+def _block_rows(block: List[np.ndarray], positions: List[int]) -> np.ndarray:
+    if not positions:
+        return np.empty(0, dtype=np.intp)
+    return np.concatenate([block[i] for i in positions])
 
 
 class SubsetDecoder:
@@ -289,14 +294,15 @@ class SubsetDecoder:
             raise Singular(f"responder subset {u0} is not invertible")
         self.t = aug[:, m:rows].T
         self.e = np.ascontiguousarray(aug[:, rows:].T)
-        self.q, self.r, self.Nr = q, r, Nr
+        self.q, self.Nr = q, Nr
+        self.block = _row_blocks(r, rows // r)
 
     def _exchange(self, subset: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
         """For the sorted 1-based subset U = U0 - A + B: the rows of A within
         C_U0 and the rows of B within T."""
         dropped = sorted(set(range(self.Nr)) - {s - 1 for s in subset})
         added = [s - self.Nr - 1 for s in subset if s > self.Nr]
-        return _block_rows(self.r, dropped), _block_rows(self.r, added)
+        return _block_rows(self.block, dropped), _block_rows(self.block, added)
 
     def invertible(self, subset: Tuple[int, ...]) -> bool:
         """Whether C_U of the sorted subset is invertible."""
@@ -312,7 +318,7 @@ class SubsetDecoder:
         dropped, added = self._exchange(subset)
         if not dropped.size:
             return _matmul_kernel(self.e, x_u, q)
-        kept = _block_rows(self.r, [s - 1 for s in subset if s <= self.Nr])
+        kept = _block_rows(self.block, [s - 1 for s in subset if s <= self.Nr])
         x_k, x_b = x_u[: kept.size], x_u[kept.size :]
         rhs = (x_b - _matmul_kernel(self.t[np.ix_(added, kept)], x_k, q)) % q
         aug = np.concatenate([self.t[np.ix_(added, dropped)], rhs], axis=1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -212,43 +213,31 @@ def entropy_bruteforce(
     assign = np.empty((total, var_count), dtype=np.int64)
     for j in range(var_count):
         assign[:, j] = (idx // q**j) % q
-    # Up to `per` output rows pack into one int64 code below q^per <= 2^63.
+    # Up to `per` output rows pack into one int64 code below q^per <= 2^63;
+    # per <= 63 since q >= 2.
     per = 1
-    while q ** (per + 1) <= 1 << 63:
+    while per < 63 and q ** (per + 1) <= 1 << 63:
         per += 1
     weights = q ** np.arange(per, dtype=np.int64)
 
-    def _codes(coeff: np.ndarray) -> np.ndarray:
+    def _entropy(group: Sequence[LinearObservable]) -> Fraction:
+        """Exact entropy of the group's stacked outputs."""
+        coeff = np.concatenate([obs.coeff.data for obs in group], axis=0)
         vals = assign @ coeff.T.astype(np.int64) % q
         rows = vals.shape[1]
         if rows <= per:
-            return vals @ weights[:rows]
-        chunks = [vals[:, i : i + per] for i in range(0, rows, per)]
-        return np.stack([c @ weights[: c.shape[1]] for c in chunks], axis=1)
+            codes = vals @ weights[:rows]
+        else:
+            chunks = [vals[:, i : i + per] for i in range(0, rows, per)]
+            codes = np.stack([c @ weights[: c.shape[1]] for c in chunks], axis=1)
+        return _entropy_from_codes(codes, q, var_count)
 
-    per_obs = [_codes(np.asarray(obs.coeff.data)) for obs in observables]
-    entropies = tuple(
-        _entropy_from_codes(c, q, var_count) for c in per_obs
-    )
-    if observables:
-        joint_arr = np.concatenate(
-            [np.asarray(obs.coeff.data) for obs in observables], axis=0
-        )
-        joint = _entropy_from_codes(_codes(joint_arr), q, var_count)
-    else:
-        joint = Fraction(0)
-    pairwise: Dict[Tuple[int, int], Fraction] = {}
-    for i in range(len(observables)):
-        for j in range(i + 1, len(observables)):
-            pair = np.concatenate(
-                [
-                    np.asarray(observables[i].coeff.data),
-                    np.asarray(observables[j].coeff.data),
-                ],
-                axis=0,
-            )
-            h_ij = _entropy_from_codes(_codes(pair), q, var_count)
-            pairwise[(i, j)] = entropies[i] + entropies[j] - h_ij
+    entropies = tuple(_entropy([obs]) for obs in observables)
+    joint = _entropy(observables) if observables else Fraction(0)
+    pairwise = {
+        (i, j): entropies[i] + entropies[j] - _entropy([a, b])
+        for (i, a), (j, b) in combinations(enumerate(observables), 2)
+    }
     return BruteForceReport(
         entropies=entropies, joint_entropy=joint, pairwise_mi=pairwise
     )
