@@ -422,12 +422,12 @@ def test_simulation_validates_inputs(wide_scheme):
 
 
 def test_simulation_bounds_the_smallest_block(scheme, wide_scheme):
-    # The worked scheme stacks f_cols * L/n = 4L symbols of W per round and
-    # has one subset; wide_scheme's smallest block is min(rounds, 5) rounds.
-    L = MAX_MATRIX_ENTRIES // 12 * 3
+    # A round stacks f_cols * L/n symbols of W. The worked scheme has one
+    # subset; wide_scheme's smallest block is min(rounds, 5) rounds.
+    L = MAX_MATRIX_ENTRIES // scheme.dims.f_cols * scheme.dims.n
     assert check_simulation_inputs(scheme, L, 7) == (L, None)
     with pytest.raises(TooLarge):
-        check_simulation_inputs(scheme, L + 3, 7)
+        check_simulation_inputs(scheme, L + scheme.dims.n, 7)
     dims = wide_scheme.dims
     L = MAX_MATRIX_ENTRIES // (2 * dims.f_cols) * dims.n
     assert check_simulation_inputs(wide_scheme, L, 2)[0] == L

@@ -224,7 +224,8 @@ def test_bruteforce_agrees_with_rank_entropy_on_random_observables():
 
 @pytest.mark.parametrize("height", [65, 130])
 def test_bruteforce_counts_tall_observables_exactly(height):
-    # 64 GF(2) rows fill one int64 code; the rows past them must still count.
+    # The last row weighs 2^(height-1) in a packed code, past any single
+    # int64; it must still count.
     coeff = np.zeros((height, 3), dtype=np.int64)
     coeff[height - 1, 0] = 1
     obs = LinearObservable(FieldMatrix.wrap(coeff, make_field(2)))
