@@ -144,13 +144,19 @@ class SimulationReport:
 
 
 def _digest(mat: FieldMatrix) -> str:
-    payload = ",".join(str(int(v)) for v in mat.data.reshape(-1))
+    payload = ",".join(map(str, mat.data.reshape(-1).tolist()))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
 def rotating_responders(scheme: SchemeArtifact) -> List[Tuple[int, ...]]:
     """All size-Nr subsets in lexicographic order; rounds cycle through."""
     return list(combinations(range(1, scheme.params.N + 1), scheme.params.Nr))
+
+
+def _round_rows(scheme: SchemeArtifact) -> int:
+    """Rows per round of a simulation block's larger stacked matrix: the
+    message vectors W have f_cols rows, the transcripts X = C F W r*N."""
+    return max(scheme.dims.f_cols, scheme.dims.r * scheme.params.N)
 
 
 def check_simulation_inputs(
@@ -162,18 +168,20 @@ def check_simulation_inputs(
     """Validate simulate_rounds' inputs before any work is done: returns L
     (default 4n) and the sorted responders, or raises BadLength,
     WrongSubsetSize, TooLarge or ValueError. TooLarge refuses an L whose
-    smallest simulation block, min(rounds, C(N,Nr)) message vectors W of
-    f_cols * L/n symbols, holds more than MAX_MATRIX_ENTRIES symbols."""
+    smallest simulation block, min(rounds, C(N,Nr)) rounds, stacks more
+    than MAX_MATRIX_ENTRIES symbols of W or of X, at _round_rows * L/n
+    symbols a round."""
     if L is None:
         L = default_length(scheme)
     _check_length(scheme, L)
     if rounds < 0:
         raise ValueError(f"rounds={rounds} is negative")
-    dims, p = scheme.dims, scheme.params
-    smallest = min(rounds, comb(p.N, p.Nr)) * dims.f_cols * (L // dims.n)
+    p = scheme.params
+    rounds_per_block = min(rounds, comb(p.N, p.Nr))
+    smallest = rounds_per_block * _round_rows(scheme) * (L // scheme.dims.n)
     if smallest > MAX_MATRIX_ENTRIES:
         raise TooLarge(
-            f"L={L} needs {smallest} symbols of W per block, "
+            f"L={L} needs {smallest} symbols of W or X per block, "
             f"above the cap of {MAX_MATRIX_ENTRIES}"
         )
     if responders is not None:
@@ -182,9 +190,9 @@ def check_simulation_inputs(
 
 
 # A simulation block holds at most this many symbols of stacked message
-# vectors W (8 MB of int64) unless one rotation alone needs more. Blocks of
-# many short rounds keep the per-block calls few; the bound keeps long
-# gradients from stacking every round at once.
+# vectors W or transcripts X (8 MB of int64) unless one rotation alone
+# needs more. Blocks of many short rounds keep the per-block calls few; the
+# bound keeps long gradients from stacking every round at once.
 _BLOCK_SYMBOLS = 1 << 20
 
 
@@ -200,7 +208,7 @@ def simulate_rounds(
 
     With responders=None, rounds rotate through all size-Nr subsets. Rounds
     run in blocks of whole rotations of C(N,Nr) rounds, as many rotations as
-    keep a block's message vectors within _BLOCK_SYMBOLS symbols but at
+    keep a block's W and X each within _BLOCK_SYMBOLS symbols but at
     least one: a block is encoded in one stacked product and then dropped,
     so memory does not grow with the round count. Round t draws from
     rng.spawn(f"round-{t}"), so the blocking does not change any round.
@@ -218,7 +226,7 @@ def simulate_rounds(
     else:
         schedule = [rotation[t % len(rotation)] for t in range(rounds)]
 
-    per_rotation = len(rotation) * dims.f_cols * ell
+    per_rotation = len(rotation) * _round_rows(scheme) * ell
     block_len = len(rotation) * max(1, _BLOCK_SYMBOLS // max(1, per_rotation))
     reports: List[RoundReport] = []
     for start in range(0, rounds, block_len):

@@ -347,6 +347,33 @@ def test_simulate_refuses_huge_L_before_certifying(tmp_path, capsys, monkeypatch
     assert "above the cap" in capsys.readouterr().err
 
 
+class Certifying(Exception):
+    """Raised in place of certify: the inputs were admitted."""
+
+
+@pytest.mark.parametrize("L, admitted", [(1 << 23, True), ((1 << 23) + 1, False)])
+def test_simulate_cap_counts_transcript_rows_before_certifying(
+    tmp_path, capsys, monkeypatch, L, admitted
+):
+    # (1,8,2,7,8) has n = 1 and f_cols = 2, but a round's transcript X has
+    # r*N = 8 rows, so the cap of 2^26 symbols admits L up to 2^23.
+    path = tmp_path / "tall.json"
+    argv = ["build", "--K", "1", "--N", "8", "--Nr", "2", "--M", "7", "--S", "8"]
+    assert main([*argv, "--out", str(path)]) == EXIT_OK
+
+    def certifying(artifact):
+        raise Certifying
+
+    monkeypatch.setattr(sgcode.cli, "certify", certifying)
+    simulate = ["simulate", str(path), "--L", str(L)]
+    if admitted:
+        with pytest.raises(Certifying):
+            main(simulate)
+    else:
+        assert main(simulate) == EXIT_INFEASIBLE
+        assert "above the cap" in capsys.readouterr().err
+
+
 def test_simulate_refuses_uncertified_artifact(tmp_path, capsys):
     path = build_artifact(tmp_path)
     payload = json.loads(path.read_text())

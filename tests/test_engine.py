@@ -32,7 +32,14 @@ from sgcode.engine import (
 from sgcode.exactmat import FieldMatrix, Singular, SubsetDecoder, solve_linear
 from sgcode.field import SeededRng, TooLarge, make_field
 from sgcode.keyspace import enumerate_groups
-from sgcode.scheme import MAX_MATRIX_ENTRIES, DataAssignment, SchemeParams, build_scheme
+from sgcode.scheme import (
+    MAX_MATRIX_ENTRIES,
+    DataAssignment,
+    SchemeParams,
+    build_scheme,
+    cyclic_assignment,
+)
+from sgcode.verifier import certify
 
 Q = make_field(2147483647)
 P31, P61 = 2147483647, (1 << 61) - 1
@@ -357,6 +364,25 @@ def test_simulation_digests_are_pinned(wide_scheme):
     ]
 
 
+def test_n8_certificate_and_rotation_are_pinned():
+    # (8,8,7,5,3), K = 8, cyclic: the security matrix (368 x 1246), the U0
+    # frame and the F2 solves all take the blocked eliminations. Digests
+    # taken from the row-at-a-time eliminations.
+    params = SchemeParams(K=8, N=8, Nr=7, M=5, S=3, q=Q)
+    n8 = build_scheme(params, cyclic_assignment(params), seed=0)
+    cert = certify(n8).to_json()
+    assert hashlib.sha256(cert.encode()).hexdigest() == (
+        "4c2c6f85fd85c607a779093c0b8105cfc99fd2ea77c523c37aea134fe351fc7f"
+    )
+    report = simulate_rounds(n8, L=n8.dims.n, rounds=8, rng=SeededRng(5))
+    assert report.all_match
+    for field in ("decoded_digest", "direct_digest"):
+        joined = "".join(getattr(r, field) for r in report.rounds)
+        assert hashlib.sha256(joined.encode()).hexdigest() == (
+            "50b669cad30867b35c6c7f03f7fc305dba2488290dc4174d78d824a6cd8a9514"
+        )
+
+
 @pytest.mark.parametrize("block_symbols", [1 << 20, 1])
 @pytest.mark.parametrize("responders", [None, (2, 3, 4, 5)])
 def test_simulation_over_several_rotations_is_pinned(
@@ -435,6 +461,43 @@ def test_simulation_bounds_the_smallest_block(scheme, wide_scheme):
         check_simulation_inputs(wide_scheme, L, 3)
     with pytest.raises(TooLarge):
         simulate_rounds(wide_scheme, L=L, rounds=100, rng=SeededRng(0))
+
+
+@pytest.fixture(scope="module")
+def tall_scheme():
+    # f_cols = 2 rows of W per round but r*N = 8 rows of X.
+    params = SchemeParams(K=1, N=8, Nr=2, M=7, S=8, q=Q)
+    return build_scheme(params, seed=0)
+
+
+def test_simulation_cap_counts_transcript_rows(tall_scheme):
+    dims = tall_scheme.dims
+    assert (dims.n, dims.f_cols, dims.r * tall_scheme.params.N) == (1, 2, 8)
+    L = MAX_MATRIX_ENTRIES // 8
+    assert check_simulation_inputs(tall_scheme, L, 1) == (L, None)
+    with pytest.raises(TooLarge, match="symbols of W or X per block"):
+        check_simulation_inputs(tall_scheme, L + 1, 1)
+    L = MAX_MATRIX_ENTRIES // (3 * 8)
+    assert check_simulation_inputs(tall_scheme, L, 3)[0] == L
+    with pytest.raises(TooLarge):
+        check_simulation_inputs(tall_scheme, L + 1, 3)
+
+
+def test_simulation_blocks_count_transcript_rows(tall_scheme, monkeypatch):
+    # The budget holds two rotations of the 28 subsets' W (28 * 2 symbols
+    # each) but only one of their X (28 * 8), so 56 rounds run in two blocks.
+    monkeypatch.setattr(engine, "_BLOCK_SYMBOLS", 2 * 28 * 8 - 1)
+    widths = []
+    original = FieldMatrix.__matmul__
+
+    def recorded(a, b):
+        widths.append(b.cols)
+        return original(a, b)
+
+    monkeypatch.setattr(FieldMatrix, "__matmul__", recorded)
+    report = simulate_rounds(tall_scheme, L=1, rounds=56, rng=SeededRng(4))
+    assert report.all_match
+    assert widths == [28, 28, 28, 28]
 
 
 def test_simulation_zero_rounds(wide_scheme):

@@ -466,3 +466,154 @@ def test_subset_decoder_matches_reference_solve(q, r, N, Nr, cols):
             got = decoder(subset, x[rows])
             assert got.shape == (lead, cols)
             assert np.array_equal(got, want)
+
+
+# ---- blocked elimination -------------------------------------------------------
+
+
+def _count_blocked(monkeypatch):
+    calls = []
+    original = exactmat._eliminate_blocked
+
+    def counted(mat, q, stop_col, reduced):
+        calls.append(reduced)
+        return original(mat, q, stop_col, reduced)
+
+    monkeypatch.setattr(exactmat, "_eliminate_blocked", counted)
+    return calls
+
+
+def _on_row_kernels(fn, *args):
+    """fn(*args) with the blocked path switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactmat, "_BLOCK_MIN_ENTRIES", 1 << 62)
+        return fn(*args)
+
+
+def _deficient(rows, cols, q, seed, rank_):
+    """An int64 product of rank at most rank_, with zero and duplicated
+    columns and a zero row."""
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, q, (rows, rank_), dtype=np.int64)
+    right = rng.integers(0, q, (rank_, cols), dtype=np.int64)
+    mat = exactmat._matmul_kernel(left, right, q)
+    mat[:, rng.choice(cols, cols // 8, replace=False)] = 0
+    mat[:, rng.choice(cols, cols // 8)] = mat[:, rng.choice(cols, cols // 8)]
+    mat[rng.integers(rows)] = 0
+    return mat
+
+
+def _solve_outcome(a, b, field):
+    """solve_linear's canonical solution, or "Unsolvable"."""
+    try:
+        return solve_linear(FieldMatrix.wrap(a, field), FieldMatrix.wrap(b, field)).data
+    except Unsolvable:
+        return "Unsolvable"
+
+
+def _assert_same_as_row_kernels(mat, stop, field):
+    """Pivots, reduced pivot rows of a consistent system, and solve_linear's
+    answer on a consistent and on an arbitrary right-hand side agree with the
+    row kernels."""
+    q = field.q
+    wrapped = FieldMatrix.wrap(mat, field)
+    assert pivot_columns(wrapped) == _on_row_kernels(pivot_columns, wrapped)
+    a = mat[:, :stop]
+    width = max(mat.shape[1] - stop, 3)  # keep the systems as large as mat
+    x = sample_array(SeededRng(stop), field, stop * width).reshape(stop, width)
+    consistent = np.concatenate([a, exactmat._matmul_kernel(a, x, q)], axis=1)
+    fast, slow = consistent.copy(), consistent.copy()
+    pivots = exactmat._reduce_rows(fast, q, stop)
+    assert pivots == _on_row_kernels(exactmat._reduce_rows, slow, q, stop)
+    assert np.array_equal(fast[: len(pivots)], slow[: len(pivots)])
+    rest = mat[:, stop:] if stop < mat.shape[1] else mat[:, :1]
+    for b in (consistent[:, stop:], rest):
+        got = _solve_outcome(a, b, field)
+        want = _on_row_kernels(_solve_outcome, a, b, field)
+        assert type(got) is type(want) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q", [2, 7, 2147483647])
+@pytest.mark.parametrize(
+    "shape, stop, blocked",
+    [
+        ((128, 256), 128, True),  # 2^15 entries
+        ((127, 256), 127, False),  # one row fewer
+        ((512, 64), 64, False),  # one panel of any size
+        ((64, 512), 65, True),  # a one-column second panel
+    ],
+)
+def test_blocked_path_runs_from_the_size_threshold(monkeypatch, q, shape, stop, blocked):
+    assert exactmat._BLOCK_MIN_ENTRIES == 1 << 15 and exactmat._BLOCK_WIDTH == 64
+    field = make_field(q)
+    mat = _deficient(*shape, q, q + stop, min(shape) // 2)
+    calls = _count_blocked(monkeypatch)
+    _assert_same_as_row_kernels(mat, stop, field)
+    assert bool(calls) == blocked
+    if blocked:
+        # rank, then _reduce_rows and two solves, each blocked once; the
+        # pivot-block inverses inside stay on the row kernels.
+        assert calls == [False, True, True, True]
+
+
+def test_object_dtype_stays_on_row_kernels(monkeypatch):
+    # q > 2^31 - 1 holds Python integers; rank 4 keeps the eliminations short.
+    mat = (random_matrix(128, 4, BIG, 3) @ random_matrix(4, 256, BIG, 4)).data
+    assert mat.dtype == object and mat.size == exactmat._BLOCK_MIN_ENTRIES
+    calls = _count_blocked(monkeypatch)
+    assert rank(FieldMatrix.wrap(mat, BIG)) == 4
+    x = solve_linear(FieldMatrix.wrap(mat[:, :128], BIG), FieldMatrix.wrap(mat[:, 128:], BIG))
+    assert FieldMatrix.wrap(mat[:, :128], BIG) @ x == FieldMatrix.wrap(mat[:, 128:], BIG)
+    assert calls == []
+
+
+@pytest.fixture
+def narrow_panels(monkeypatch):
+    # 8-column panels from any size, so small matrices cross many panels.
+    monkeypatch.setattr(exactmat, "_BLOCK_WIDTH", 8)
+    monkeypatch.setattr(exactmat, "_BLOCK_MIN_ENTRIES", 0)
+
+
+@pytest.mark.parametrize("q", [2, 7, 2147483647])
+@pytest.mark.parametrize("rows, cols", [(30, 70), (70, 30), (45, 45)])
+@pytest.mark.parametrize("kind", ["full", "deficient", "low"])
+def test_blocked_eliminations_match_row_kernels(narrow_panels, q, rows, cols, kind):
+    field = make_field(q)
+    for seed in range(3):
+        if kind == "full":
+            mat = random_matrix(rows, cols, field, seed).data.copy()
+        else:
+            rank_ = min(rows, cols) - 3 if kind == "deficient" else 5
+            mat = _deficient(rows, cols, q, seed, rank_)
+        if kind == "low":
+            mat[:, 8:16] = 0  # a whole panel without a pivot
+        for stop in (21, cols):  # 21 is no multiple of the width
+            _assert_same_as_row_kernels(mat, stop, field)
+
+
+@pytest.mark.parametrize("q", [2, 7, 2147483647])
+def test_blocked_subset_scan_and_decoder_match_row_kernels(narrow_panels, q):
+    # m = 12 columns span two 8-column panels; duplicated server blocks make
+    # U0 or a later subset singular.
+    field = make_field(q)
+    r, N, Nr, lead = 3, 6, 4, 5
+    for seed in range(4):
+        arr = stacked_blocks(r, N, Nr, field, seed)
+        x = random_matrix(r * N, 2, field, seed + 40).data
+        for dup in (None, (3, 0), (15, 6)):
+            data = arr.copy()
+            if dup is not None:
+                data[dup[0] : dup[0] + r] = data[dup[1] : dup[1] + r]
+            scan = first_singular_subset(data, q, r, N, Nr)
+            assert scan == _on_row_kernels(first_singular_subset, data, q, r, N, Nr)
+            for subset in combinations(range(1, N + 1), Nr):
+                rows = np.concatenate([np.arange((s - 1) * r, s * r) for s in subset])
+
+                def decoded():
+                    try:
+                        return SubsetDecoder(data, q, r, Nr, lead)(subset, x[rows])
+                    except Singular as exc:
+                        return str(exc)
+
+                got, want = decoded(), _on_row_kernels(decoded)
+                assert type(got) is type(want) and np.array_equal(got, want)

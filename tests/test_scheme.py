@@ -513,8 +513,11 @@ def test_parser_checks_shapes_before_converting_entries(
         artifact_from_json(json.dumps(obj))
 
 
+N8_HOLDERS = [sorted((k + j) % 8 + 1 for j in range(5)) for k in range(8)]
+
 # SHA-256 of artifact_to_json for each build, taken from the dict-based
-# writer that the single-pass writer replaced.
+# writer that the single-pass writer replaced; the n8 entry was taken from
+# the row-at-a-time eliminations that the blocked path replaced.
 PINNED_ARTIFACTS = [
     ((3, 3, 3, 2, 2), 2147483647, [[2, 3], [1, 2], [1, 2]],
      "ddefc26eaee9b7547b78f977d76dad8ec7cb334771f67e1c817b4ba74ba1d2e4"),
@@ -524,6 +527,10 @@ PINNED_ARTIFACTS = [
      "f6af62eb92cb87273762f376e6baec66d36555f6a329c98c715b2dc4df3675a6"),
     ((3, 3, 3, 2, 2), 7, [[2, 3], [1, 2], [1, 2]],
      "1de5a3217da2b5c8f7452ca726d16647cc7a521713da9d6937a36560c87b91c9"),
+    # The n8 benchmark tuple with its cyclic assignment, whose 322-column
+    # subset scan and F2 solves take the blocked eliminations.
+    ((8, 8, 7, 5, 3), 2147483647, N8_HOLDERS,
+     "b3e41cff26d5484fb5d79fa442b10394dfa144faf4282068bda2c3919a93019d"),
 ]
 
 
