@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactmat import FieldMatrix
+from .exactmat import DimensionMismatch, FieldMatrix
 from .field import SeededRng, TooLarge, sample_array
 from .scheme import MAX_MATRIX_ENTRIES, SchemeArtifact, is_integer
 
@@ -104,8 +104,16 @@ def decode(
 ) -> FieldMatrix:
     """Recover the length-L gradient sum from the responder subset: the first
     n rows of C_U^-1 X_U are the piece sums. Uses the artifact's one decoder.
-    Raises exactmat.Singular naming the subset when C_U, or the first
+    Raises ValueError ("mixed moduli") for a transcript over another field
+    and DimensionMismatch unless it has C's r*N rows, both before any work;
+    raises exactmat.Singular naming the subset when C_U, or the first
     subset's C_U0, is singular."""
+    if transcript.modulus != scheme.params.q:
+        raise ValueError("mixed moduli")
+    if transcript.rows != scheme.c.rows:
+        raise DimensionMismatch(
+            f"transcript has {transcript.rows} rows, C has {scheme.c.rows}"
+        )
     subset = _responder_subset(scheme, responders)
     x_u = transcript.data[scheme.dims.server_rows(subset)]
     y = scheme.decoder(subset, x_u)

@@ -44,24 +44,33 @@ class Singular(ValueError):
 #   with or without FMA. The four limb products recombine in int64 as
 #   hh * (2^32 mod q) + (hl + lh) * 2^16 + ll after reducing hh and hl + lh,
 #   which stays below 2^62 + 2^47 + 2^53 < 2^63.
+# - Short products. With k <= _F64_SHORT_INNER = 64, as in every panel
+#   update of the blocked elimination, only the smaller operand splits into
+#   limbs and the other is multiplied whole: each product of a limb below
+#   2^16 and an entry below 2^31 is below 2^47, so every sum is below
+#   64 * 2^16 * 2^31 = 2^53. The two products recombine as
+#   (hi mod q) * 2^16 + lo < 2^47 + 2^53. Two BLAS products and three
+#   conversions replace four and six, with the same result.
 # - The float path has a fixed cost of six conversions and four BLAS calls
 #   (about 35 us on a 2-core x86-64 box with OpenBLAS), so a product of
 #   fewer than _F64_MIN_MAC = 2^15 multiply-adds (m*k*n) keeps the int64
-#   limb product (a >> 16) @ b and (a & 0xFFFF) @ b, whose sums stay below
-#   2^46 * k < 2^62 for k <= 2^16. Most products of the small schemes sit
-#   below that size; the transcript product and encode of an N = 8 scheme
-#   sit far above it. The two paths give identical results, and the
-#   threshold is where they cost the same. Any other int64 product, with
-#   k > 2^21 (or k > 2^16 below the threshold), runs on Python integers and
-#   comes back as int64.
+#   limb product (a >> 16) @ b and (a & 0xFFFF) @ b. The high limb's sums
+#   stay below 2^46 * k and the low limb's below 2^47 * k; a non-empty
+#   product below the threshold has k < 2^15, so both stay below 2^62.
+#   Most products of the small schemes sit below that size; the transcript
+#   product and encode of an N = 8 scheme sit far above it. The paths give
+#   identical results, and the threshold is where they cost the same. Any
+#   other int64 product, with k > 2^21 (or an empty one with k > 2^16),
+#   runs on Python integers and comes back as int64.
 # - Blocked elimination (_eliminate_blocked). An int64 elimination of at
 #   least _BLOCK_MIN_ENTRIES = 2^15 entries whose first stop_col columns
 #   span more than one panel of _BLOCK_WIDTH = 64 runs panel by panel: the
 #   row rank kernel on the panel, _reduce_rows on the k x k pivot block
 #   (k <= 64), then each other row's trailing columns less two chained
-#   _matmul_kernel products, of inner dimension k, inside both limb paths'
-#   bounds. Both products come back in [0, q), so every difference lies in
-#   (-q, q) before _reduce. Object dtype always runs the row kernels.
+#   _matmul_kernel products of inner dimension k, which take the short
+#   product at or above the size threshold. Both products come back in
+#   [0, q), so every difference lies in (-q, q) before _reduce. Object
+#   dtype always runs the row kernels.
 # - The threshold is where the two paths cost the same. Over 44 random
 #   full-rank int64 eliminations from 72 x 72 to 330 x 1155 (rank, and
 #   _reduce_rows of a square system with the other columns riding along;
@@ -75,6 +84,7 @@ class Singular(ValueError):
 
 _F64_MIN_MAC = 1 << 15
 _F64_MAX_INNER = 1 << 21
+_F64_SHORT_INNER = 64
 _INT_MAX_INNER = 1 << 16
 _BLOCK_WIDTH = 64
 _BLOCK_MIN_ENTRIES = 1 << 15
@@ -247,6 +257,19 @@ def _matmul_kernel(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Exact modular product of value-reduced arrays."""
     if a.dtype == np.int64 and b.dtype == np.int64:
         (m, k), n = a.shape, b.shape[1]
+        if k <= _F64_SHORT_INNER and m * k * n >= _F64_MIN_MAC:
+            # Split the smaller operand only: one full-size conversion.
+            if a.size <= b.size:
+                a_hi, a_lo = _f64_limbs(a)
+                whole = b.astype(np.float64)
+                hi, lo = _f64_product(a_hi, whole), _f64_product(a_lo, whole)
+            else:
+                b_hi, b_lo = _f64_limbs(b)
+                whole = a.astype(np.float64)
+                hi, lo = _f64_product(whole, b_hi), _f64_product(whole, b_lo)
+            out = _reduce(hi, q) << 16
+            out += lo
+            return _reduce(out, q)
         if k <= _F64_MAX_INNER and m * k * n >= _F64_MIN_MAC:
             a_hi, a_lo = _f64_limbs(a)
             b_hi, b_lo = _f64_limbs(b)
@@ -449,20 +472,25 @@ def first_singular_subset(
     return comb(N, Nr), None
 
 
-def solve_linear(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+def solve_linear(
+    a: FieldMatrix, b: FieldMatrix, pivots: Optional[List[int]] = None
+) -> FieldMatrix:
     """Canonical solution X of A X = B with free variables set to zero.
 
-    Raises Unsolvable when the system is inconsistent.
+    Raises Unsolvable when the system is inconsistent. When pivots is given,
+    A's pivot columns are appended to it, so their count is rank(A).
     """
     a._check(b)
     if a.rows != b.rows:
         raise DimensionMismatch("A and B must have the same row count")
     q = a.modulus.q
     aug = np.concatenate([a.data, b.data], axis=1)
-    pivots = _reduce_rows(aug, q, a.cols)
-    if np.any(aug[len(pivots):, a.cols:]):
+    found = _reduce_rows(aug, q, a.cols)
+    if pivots is not None:
+        pivots.extend(found)
+    if np.any(aug[len(found):, a.cols:]):
         raise Unsolvable("rank of [A | B] exceeds rank of A")
     x = np.zeros((a.cols, b.cols), dtype=a.data.dtype)
-    for i, c in enumerate(pivots):
+    for i, c in enumerate(found):
         x[c, :] = aug[i, a.cols:]
     return FieldMatrix(x, a.modulus)

@@ -279,20 +279,20 @@ def _nonholder_solution(
     """The canonical solution X of C_Q(non-holder rows) X = -C_G(non-holder
     rows): F2's columns for every dataset that the servers dbar lack.
 
-    Raises Unsolvable when C_Q(non-holder rows) lacks full row rank. The
-    identity columns appended to the right-hand side make the system
-    solvable exactly then, and leave the canonical solution of the other
-    columns unchanged, so one elimination both checks the rank and solves.
+    Raises Unsolvable when C_Q(non-holder rows) lacks full row rank, which
+    the pivot count of the solve's own elimination decides: one elimination
+    both checks the rank and solves.
     """
-    rows = dims.server_rows(sorted(dbar))
-    sub = arr[rows]
-    rhs = np.concatenate(
-        [(-sub[:, : dims.n]) % field.q, np.eye(rows.size, dtype=sub.dtype)], axis=1
-    )
+    sub = arr[dims.server_rows(sorted(dbar))]
+    pivots: List[int] = []
     x = solve_linear(
-        FieldMatrix.wrap(sub[:, dims.n :], field), FieldMatrix.wrap(rhs, field)
+        FieldMatrix.wrap(sub[:, dims.n :], field),
+        FieldMatrix.wrap((-sub[:, : dims.n]) % field.q, field),
+        pivots,
     )
-    return x.data[:, : dims.n]
+    if len(pivots) < sub.shape[0]:
+        raise Unsolvable("key rows lack full row rank")
+    return x.data
 
 
 def _coding_defect(

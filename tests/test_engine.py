@@ -29,7 +29,13 @@ from sgcode.engine import (
     sample_round,
     simulate_rounds,
 )
-from sgcode.exactmat import FieldMatrix, Singular, SubsetDecoder, solve_linear
+from sgcode.exactmat import (
+    DimensionMismatch,
+    FieldMatrix,
+    Singular,
+    SubsetDecoder,
+    solve_linear,
+)
 from sgcode.field import SeededRng, TooLarge, make_field
 from sgcode.keyspace import enumerate_groups
 from sgcode.scheme import (
@@ -207,6 +213,35 @@ def test_decode_rejects_bad_subsets(wide_scheme):
         decode(wide_scheme, transcript, (1, 2, 3, 9))
     with pytest.raises(WrongSubsetSize):
         decode(wide_scheme, transcript, (1, 2, 3, 3))
+
+
+def _refused_before_work(scheme, transcript, error, match):
+    """decode raises error on a fresh copy of scheme without building its
+    decoder."""
+    fresh = dataclasses.replace(scheme)
+    with pytest.raises(error, match=match):
+        decode(fresh, transcript, (1, 2, 3))
+    assert "decoder" not in fresh.__dict__
+
+
+def _transcript_data(scheme):
+    return encode(scheme, build_W(sample_round(scheme, 6, SeededRng(6)), scheme)).data
+
+
+def test_decode_refuses_a_transcript_with_extra_rows(scheme):
+    x = _transcript_data(scheme)
+    extra = FieldMatrix.wrap(np.concatenate([x, x[:1]]), Q)
+    _refused_before_work(scheme, extra, DimensionMismatch, "transcript has 7 rows, C has 6")
+
+
+def test_decode_refuses_a_transcript_over_another_field(scheme):
+    other = FieldMatrix.wrap(_transcript_data(scheme) % 7, make_field(7))
+    _refused_before_work(scheme, other, ValueError, "mixed moduli")
+
+
+def test_decode_refuses_a_short_transcript(scheme):
+    short = FieldMatrix.wrap(_transcript_data(scheme)[:-1], Q)
+    _refused_before_work(scheme, short, DimensionMismatch, "transcript has 5 rows, C has 6")
 
 
 @pytest.mark.parametrize("responders", [[1.9, 2, 3, 4], [True, 2, 3, 4], ["1", 2, 3, 4]])

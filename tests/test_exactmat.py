@@ -174,18 +174,41 @@ def _count_f64_products(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("k, f64", [(1 << 21, True), ((1 << 21) + 1, False)])
-def test_matmul_inner_dimension_edge(monkeypatch, k, f64):
-    # Every entry q - 1: each limb sum is at its largest, just below 2^53 at
-    # k = 2^21. The exact entry is k (q-1)^2 mod q = k mod q.
-    q = DEFAULT.q
+def _products(k, f64):
+    """float64 products a limb path runs: two for inner dimension k <= 64,
+    four above it, none off the float path."""
+    return 0 if not f64 else 2 if k <= 64 else 4
+
+
+@pytest.mark.parametrize(
+    "m, k, n, f64, q, top",
+    [
+        pytest.param(1, 1 << 21, 2, True, DEFAULT.q, DEFAULT.q - 1, id="2097152-True"),
+        pytest.param(1, (1 << 21) + 1, 2, False, DEFAULT.q, DEFAULT.q - 1, id="2097153-False"),
+    ]
+    + [
+        pytest.param(
+            16, k, 32, True, q, 0x7FFEFFFF if q > 0x7FFEFFFF else q - 1, id=f"{k}-q{q}"
+        )
+        for k in (64, 65)
+        for q in (2, 7, DEFAULT.q)
+    ],
+)
+def test_matmul_inner_dimension_edge(monkeypatch, m, k, n, f64, q, top):
+    # b is q - 1 throughout and a is top. At k = 2^21, with top = q - 1,
+    # each limb sum of the four-product path is just below 2^53. At k = 64
+    # the short path splits only a, the smaller operand, and top = 0x7FFEFFFF
+    # has the largest low limb, 0xFFFF, below 2^31 - 1, so each sum is just
+    # below 2^53 again. The exact entry is k * top * (q - 1) mod q.
     calls = _count_f64_products(monkeypatch)
-    a = np.full((1, k), q - 1, dtype=np.int64)
-    b = np.full((k, 2), q - 1, dtype=np.int64)
+    a = np.full((m, k), top, dtype=np.int64)
+    b = np.full((k, n), q - 1, dtype=np.int64)
     got = exactmat._matmul_kernel(a, b, q)
-    assert bool(calls) == f64
+    assert len(calls) == _products(k, f64)
     assert got.dtype == np.int64
-    assert [int(v) for v in got.reshape(-1)] == [k % q, k % q]
+    assert np.all(got == k * top * (q - 1) % q)
+    if k <= 65:
+        assert np.array_equal(got.astype(object), np.dot(a.astype(object), b.astype(object)) % q)
 
 
 @pytest.mark.parametrize("m, n", [(0, 2), (2, 0)])
@@ -200,11 +223,23 @@ def test_matmul_empty_operand_with_long_inner_dimension(m, n):
     assert got.shape == (m, n)
 
 
-@pytest.mark.parametrize("shape, f64", [((32, 32, 32), True), ((31, 32, 32), False)])
+@pytest.mark.parametrize(
+    "shape, f64",
+    [
+        ((32, 32, 32), True),
+        ((31, 32, 32), False),
+        ((16, 64, 32), True),
+        ((64, 64, 8), True),
+        ((16, 65, 32), True),
+        ((15, 64, 32), False),
+    ],
+)
 @pytest.mark.parametrize("fill", ["max", "random"])
 def test_matmul_either_side_of_size_threshold(monkeypatch, shape, f64, fill):
     # 32*32*32 = 2^15 multiply-adds takes the float64 limb product, 31*32*32
-    # the int64 one; both must equal the object-dtype product.
+    # the int64 one; both must equal the object-dtype product. At k = 64 the
+    # short product splits a (16 x 64) or b (64 x 8), whichever is smaller;
+    # k = 65 takes the four-product path.
     q = DEFAULT.q
     m, k, n = shape
     if fill == "max":
@@ -214,7 +249,7 @@ def test_matmul_either_side_of_size_threshold(monkeypatch, shape, f64, fill):
         a, b = random_matrix(m, k, DEFAULT, 5).data, random_matrix(k, n, DEFAULT, 6).data
     calls = _count_f64_products(monkeypatch)
     got = exactmat._matmul_kernel(a, b, q)
-    assert bool(calls) == f64
+    assert len(calls) == _products(k, f64)
     assert got.dtype == np.int64
     assert np.array_equal(got.astype(object), exactmat._matmul_kernel(a.astype(object), b.astype(object), q))
 
@@ -337,8 +372,10 @@ def test_solve_returns_exact_solution(seed, q):
     a = random_matrix(6, 4, field, seed)
     x = random_matrix(4, 3, field, seed + 1)
     b = a @ x
-    got = solve_linear(a, b)
+    pivots = []
+    got = solve_linear(a, b, pivots)
     assert a @ got == b
+    assert pivots == pivot_columns(a)
 
 
 def test_solve_canonical_free_variables_are_zero():
@@ -349,7 +386,9 @@ def test_solve_canonical_free_variables_are_zero():
 
     a2 = fm([[0, 1, 2], [0, 0, 0]], F7)
     b2 = fm([[3], [0]], F7)
-    assert solve_linear(a2, b2) == fm([[0], [3], [0]], F7)
+    pivots = []
+    assert solve_linear(a2, b2, pivots) == fm([[0], [3], [0]], F7)
+    assert pivots == [1]
 
 
 def test_solve_detects_inconsistency():

@@ -252,10 +252,23 @@ def test_nonholder_check_flags_a_consistent_rank_deficient_system():
 
 
 def test_construction_failure_when_field_too_small():
+    # Each of the 32 attempts is accepted or rejected by the subset scan
+    # and the F2 solves' rank decisions; the messages pin the last defect.
     params = SchemeParams(K=1, N=6, Nr=4, M=3, S=4, q=make_field(2))
     with pytest.raises(ConstructionFailed) as err:
         build_scheme(params, seed=0)
     assert "recommended minimum" in str(err.value)
+    assert str(err.value) == (
+        "32 attempts failed (last: responder subset (1, 2, 3, 4) is not "
+        "invertible); q=2 is below the recommended minimum 946"
+    )
+    params = SchemeParams(K=2, N=4, Nr=4, M=1, S=2, q=make_field(2))
+    with pytest.raises(ConstructionFailed) as err:
+        build_scheme(params, seed=0)
+    assert str(err.value) == (
+        "32 attempts failed (last: key rows of non-holders [1, 3, 4] lack full "
+        "row rank); q=2 is below the recommended minimum 61"
+    )
 
 
 def test_construction_retries_are_counted():
@@ -531,6 +544,10 @@ PINNED_ARTIFACTS = [
     # subset scan and F2 solves take the blocked eliminations.
     ((8, 8, 7, 5, 3), 2147483647, N8_HOLDERS,
      "b3e41cff26d5484fb5d79fa442b10394dfa144faf4282068bda2c3919a93019d"),
+    # Over GF(2) two of its five rejected attempts fail the F2 solve's rank
+    # decision (retries_used = 5), so this pins which samples it accepts.
+    ((2, 5, 5, 2, 2), 2, None,
+     "1b92cefbba6abc082e37e042efbad3f210abefbee99c62e48087c91fdeba0250"),
 ]
 
 
