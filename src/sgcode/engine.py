@@ -108,8 +108,7 @@ def decode(
     and DimensionMismatch unless it has C's r*N rows, both before any work;
     raises exactmat.Singular naming the subset when C_U, or the first
     subset's C_U0, is singular."""
-    if transcript.modulus != scheme.params.q:
-        raise ValueError("mixed moduli")
+    scheme.c._check(transcript)
     if transcript.rows != scheme.c.rows:
         raise DimensionMismatch(
             f"transcript has {transcript.rows} rows, C has {scheme.c.rows}"

@@ -45,12 +45,12 @@ class Singular(ValueError):
 #   hh * (2^32 mod q) + (hl + lh) * 2^16 + ll after reducing hh and hl + lh,
 #   which stays below 2^62 + 2^47 + 2^53 < 2^63.
 # - Short products. With k <= _F64_SHORT_INNER = 64, as in every panel
-#   update of the blocked elimination, only the smaller operand splits into
-#   limbs and the other is multiplied whole: each product of a limb below
-#   2^16 and an entry below 2^31 is below 2^47, so every sum is below
-#   64 * 2^16 * 2^31 = 2^53. The two products recombine as
-#   (hi mod q) * 2^16 + lo < 2^47 + 2^53. Two BLAS products and three
-#   conversions replace four and six, with the same result.
+#   update of the blocked elimination, only a splits into limbs and b is
+#   multiplied whole: each product of a limb below 2^16 and an entry below
+#   2^31 is below 2^47, so every sum is below 64 * 2^16 * 2^31 = 2^53. The
+#   two products recombine as (hi mod q) * 2^16 + lo < 2^47 + 2^53. Two BLAS
+#   products and three conversions replace four and six, with the same
+#   result.
 # - The float path has a fixed cost of six conversions and four BLAS calls
 #   (about 35 us on a 2-core x86-64 box with OpenBLAS), so a product of
 #   fewer than _F64_MIN_MAC = 2^15 multiply-adds (m*k*n) keeps the int64
@@ -258,17 +258,10 @@ def _matmul_kernel(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     if a.dtype == np.int64 and b.dtype == np.int64:
         (m, k), n = a.shape, b.shape[1]
         if k <= _F64_SHORT_INNER and m * k * n >= _F64_MIN_MAC:
-            # Split the smaller operand only: one full-size conversion.
-            if a.size <= b.size:
-                a_hi, a_lo = _f64_limbs(a)
-                whole = b.astype(np.float64)
-                hi, lo = _f64_product(a_hi, whole), _f64_product(a_lo, whole)
-            else:
-                b_hi, b_lo = _f64_limbs(b)
-                whole = a.astype(np.float64)
-                hi, lo = _f64_product(whole, b_hi), _f64_product(whole, b_lo)
-            out = _reduce(hi, q) << 16
-            out += lo
+            a_hi, a_lo = _f64_limbs(a)
+            whole = b.astype(np.float64)
+            out = _reduce(_f64_product(a_hi, whole), q) << 16
+            out += _f64_product(a_lo, whole)
             return _reduce(out, q)
         if k <= _F64_MAX_INNER and m * k * n >= _F64_MIN_MAC:
             a_hi, a_lo = _f64_limbs(a)

@@ -197,15 +197,15 @@ def _products(k, f64):
 def test_matmul_inner_dimension_edge(monkeypatch, m, k, n, f64, q, top):
     # b is q - 1 throughout and a is top. At k = 2^21, with top = q - 1,
     # each limb sum of the four-product path is just below 2^53. At k = 64
-    # the short path splits only a, the smaller operand, and top = 0x7FFEFFFF
-    # has the largest low limb, 0xFFFF, below 2^31 - 1, so each sum is just
-    # below 2^53 again. The exact entry is k * top * (q - 1) mod q.
+    # the short path splits only a, and top = 0x7FFEFFFF has the largest low
+    # limb, 0xFFFF, below 2^31 - 1, so each sum is just below 2^53 again. The exact entry is k * top * (q - 1) mod q.
     calls = _count_f64_products(monkeypatch)
     a = np.full((m, k), top, dtype=np.int64)
     b = np.full((k, n), q - 1, dtype=np.int64)
     got = exactmat._matmul_kernel(a, b, q)
     assert len(calls) == _products(k, f64)
     assert got.dtype == np.int64
+    assert got.shape == (m, n)
     assert np.all(got == k * top * (q - 1) % q)
     if k <= 65:
         assert np.array_equal(got.astype(object), np.dot(a.astype(object), b.astype(object)) % q)
@@ -238,8 +238,7 @@ def test_matmul_empty_operand_with_long_inner_dimension(m, n):
 def test_matmul_either_side_of_size_threshold(monkeypatch, shape, f64, fill):
     # 32*32*32 = 2^15 multiply-adds takes the float64 limb product, 31*32*32
     # the int64 one; both must equal the object-dtype product. At k = 64 the
-    # short product splits a (16 x 64) or b (64 x 8), whichever is smaller;
-    # k = 65 takes the four-product path.
+    # short product splits only a; k = 65 takes the four-product path.
     q = DEFAULT.q
     m, k, n = shape
     if fill == "max":
