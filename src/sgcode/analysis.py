@@ -36,26 +36,26 @@ class Infeasible(ValueError):
     """The parameter tuple admits no scheme (or no finite cost)."""
 
 
+def feasible_counts(N: int, Nr: int, M: int, S: int) -> Tuple[int, int, int]:
+    """(r, n, alpha) of a feasible tuple from one piece_counts call; raises
+    Infeasible naming the first failed condition."""
+    if not (1 <= M <= N and 1 <= Nr <= N and 1 <= S <= N):
+        raise Infeasible(f"parameters outside range: N={N}, Nr={Nr}, M={M}, S={S}")
+    if S < N - Nr + 2:
+        raise Infeasible("feasibility S >= N-Nr+2 violated")
+    r, n, alpha = piece_counts(N, Nr, M, S)
+    if r < 1 or n < 1:
+        raise Infeasible("cost denominator r*Nr - C(N,S)*(N-M) is not positive")
+    return r, n, alpha
+
+
 def feasibility_violation(N: int, Nr: int, M: int, S: int) -> Optional[str]:
     """None when the tuple is feasible, else a message naming the failure."""
-    if not (1 <= M <= N and 1 <= Nr <= N and 1 <= S <= N):
-        return f"parameters outside range: N={N}, Nr={Nr}, M={M}, S={S}"
-    if S < N - Nr + 2:
-        return "feasibility S >= N-Nr+2 violated"
-    r, n, _ = piece_counts(N, Nr, M, S)
-    if r < 1 or n < 1:
-        return "cost denominator r*Nr - C(N,S)*(N-M) is not positive"
+    try:
+        feasible_counts(N, Nr, M, S)
+    except Infeasible as exc:
+        return str(exc)
     return None
-
-
-def cost_R(N: int, Nr: int, M: int, S: int) -> Fraction:
-    """Achievable secure cost r / n with r = C(N,S) - C(M,S) and
-    n = r*Nr - C(N,S)*(N-M), exact."""
-    violation = feasibility_violation(N, Nr, M, S)
-    if violation is not None:
-        raise Infeasible(violation)
-    r, n, _ = piece_counts(N, Nr, M, S)
-    return Fraction(r, n)
 
 
 def cost_Rn(N: int, Nr: int, M: int) -> Fraction:
@@ -65,23 +65,10 @@ def cost_Rn(N: int, Nr: int, M: int) -> Fraction:
     return Fraction(1, Nr - N + M)
 
 
-def ratio_and_beta(N: int, Nr: int, M: int, S: int) -> Tuple[Fraction, Fraction]:
-    """(cost ratio R/Rn, beta) with beta = C(N,S) / (C(N,S) - C(M,S)); the
-    ratio is computed as (Nr - (N-M)) / (Nr - beta*(N-M)) and must agree with
-    the direct quotient."""
-    violation = feasibility_violation(N, Nr, M, S)
-    if violation is not None:
-        raise Infeasible(violation)
-    r, _, _ = piece_counts(N, Nr, M, S)
-    beta = Fraction(comb0(N, S), r)
-    ratio = Fraction(Nr - (N - M)) / (Nr - beta * (N - M))
-    assert ratio == cost_R(N, Nr, M, S) / cost_Rn(N, Nr, M)
-    return ratio, beta
-
-
 @dataclass(frozen=True)
 class CostPoint:
-    """One evaluated parameter tuple; K plays no role in the cost."""
+    """One evaluated parameter tuple; K plays no role in the cost. reason
+    names why an infeasible tuple fails and is None otherwise."""
 
     N: int
     Nr: int
@@ -92,22 +79,49 @@ class CostPoint:
     ratio: Optional[Fraction]
     beta: Optional[Fraction]
     regime: str
+    reason: Optional[str] = None
 
 
 def cost_point(N: int, Nr: int, M: int, S: int) -> CostPoint:
-    """Evaluate one tuple, flagging infeasibility instead of raising."""
-    if feasibility_violation(N, Nr, M, S) is not None:
-        rn: Optional[Fraction]
-        try:
-            rn = cost_Rn(N, Nr, M)
-        except Infeasible:
-            rn = None
-        return CostPoint(N, Nr, M, S, None, rn, None, None, REGIME_INFEASIBLE)
-    ratio, beta = ratio_and_beta(N, Nr, M, S)
+    """Evaluate one tuple, flagging infeasibility instead of raising.
+
+    R = r / n with r = C(N,S) - C(M,S) and n = r*Nr - C(N,S)*(N-M), and
+    beta = C(N,S) / r, all from one set of counts; the ratio is computed as
+    (Nr - (N-M)) / (Nr - beta*(N-M)) and must agree with R / Rn."""
+    rn: Optional[Fraction]
+    try:
+        rn = cost_Rn(N, Nr, M)
+    except Infeasible:
+        rn = None
+    try:
+        r, n, alpha = feasible_counts(N, Nr, M, S)
+    except Infeasible as exc:
+        return CostPoint(N, Nr, M, S, None, rn, None, None, REGIME_INFEASIBLE, str(exc))
+    R = Fraction(r, n)
+    beta = Fraction(comb0(N, S), r)
+    ratio = Fraction(Nr - alpha) / (Nr - beta * alpha)
+    assert rn is not None and ratio == R / rn
     regime = REGIME_SECURE_FREE if S > M else REGIME_SECURE_PAYS
-    return CostPoint(
-        N, Nr, M, S, cost_R(N, Nr, M, S), cost_Rn(N, Nr, M), ratio, beta, regime
-    )
+    return CostPoint(N, Nr, M, S, R, rn, ratio, beta, regime)
+
+
+def _feasible(N: int, Nr: int, M: int, S: int) -> Tuple[Fraction, Fraction, Fraction]:
+    """(R, ratio, beta) of cost_point; raises Infeasible with its reason."""
+    pt = cost_point(N, Nr, M, S)
+    if pt.reason is not None:
+        raise Infeasible(pt.reason)
+    assert pt.R is not None and pt.ratio is not None and pt.beta is not None
+    return pt.R, pt.ratio, pt.beta
+
+
+def cost_R(N: int, Nr: int, M: int, S: int) -> Fraction:
+    """Achievable secure cost r / n of cost_point, exact; raises Infeasible."""
+    return _feasible(N, Nr, M, S)[0]
+
+
+def ratio_and_beta(N: int, Nr: int, M: int, S: int) -> Tuple[Fraction, Fraction]:
+    """(cost ratio R/Rn, beta) of cost_point; raises Infeasible."""
+    return _feasible(N, Nr, M, S)[1:]
 
 
 def decimal12(value: Fraction) -> str:
@@ -117,12 +131,18 @@ def decimal12(value: Fraction) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _frac_cell(value: Optional[Fraction]) -> str:
-    return "" if value is None else str(value)
-
-
-def _dec_cell(value: Optional[Fraction]) -> str:
-    return "" if value is None else decimal12(value)
+def point_fields(pt: CostPoint) -> Dict[str, str]:
+    """The text of a point as the CSV and the cost JSON write it: R, Rn and
+    the ratio exact and to 12 significant digits, beta exact, and the
+    regime; a missing value is the empty string."""
+    fields = {}
+    for name in ("R", "Rn", "ratio"):
+        value = getattr(pt, name)
+        fields[f"{name}_frac"] = "" if value is None else str(value)
+        fields[f"{name}_dec"] = "" if value is None else decimal12(value)
+    fields["beta_frac"] = "" if pt.beta is None else str(pt.beta)
+    fields["regime"] = pt.regime
+    return fields
 
 
 def sweep(
@@ -152,19 +172,8 @@ def sweep_rows(axis: str, table: Sequence[Tuple[int, CostPoint]]) -> List[List[s
     """CSV rows (without header) for a sweep table."""
     rows = []
     for value, pt in table:
-        rows.append(
-            [
-                axis,
-                str(value),
-                _frac_cell(pt.R),
-                _dec_cell(pt.R),
-                _frac_cell(pt.Rn),
-                _dec_cell(pt.Rn),
-                _frac_cell(pt.ratio),
-                _dec_cell(pt.ratio),
-                pt.regime,
-            ]
-        )
+        fields = point_fields(pt)
+        rows.append([axis, str(value), *(fields[c] for c in CSV_COLUMNS[2:])])
     return rows
 
 

@@ -11,15 +11,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .analysis import (
-    AXES,
-    Infeasible,
-    cost_point,
-    decimal12,
-    feasibility_violation,
-    sweep,
-    sweep_csv,
-)
+from .analysis import AXES, Infeasible, cost_point, point_fields, sweep, sweep_csv
 from .engine import check_simulation_inputs, simulate_rounds
 from .field import DEFAULT_MODULUS, SeededRng, make_field
 from .scheme import (
@@ -31,6 +23,7 @@ from .scheme import (
     artifact_from_json,
     artifact_to_json,
     build_scheme,
+    refuse_above_cap,
 )
 from .verifier import certify
 
@@ -103,33 +96,20 @@ def _cert_path(artifact_path: str) -> str:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
-    violation = feasibility_violation(args.N, args.Nr, args.M, args.S)
-    if violation is not None:
-        print(f"infeasible: {violation}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    # N*Nr bounds C's entries from below, as for build: refused before any
+    # binomial coefficient is computed.
+    refuse_above_cap(args.N * args.Nr)
     pt = cost_point(args.N, args.Nr, args.M, args.S)
-    assert pt.R is not None and pt.Rn is not None
-    assert pt.ratio is not None and pt.beta is not None
+    if pt.reason is not None:
+        raise Infeasible(pt.reason)
+    f = point_fields(pt)
     print(
-        f"R = {pt.R} ({decimal12(pt.R)}), Rn = {pt.Rn} ({decimal12(pt.Rn)}), "
-        f"ratio = {pt.ratio} ({decimal12(pt.ratio)}), beta = {pt.beta}, "
-        f"regime {pt.regime}"
+        f"R = {f['R_frac']} ({f['R_dec']}), Rn = {f['Rn_frac']} ({f['Rn_dec']}), "
+        f"ratio = {f['ratio_frac']} ({f['ratio_dec']}), beta = {f['beta_frac']}, "
+        f"regime {f['regime']}"
     )
     if args.out:
-        payload = {
-            "N": pt.N,
-            "Nr": pt.Nr,
-            "M": pt.M,
-            "S": pt.S,
-            "R_frac": str(pt.R),
-            "R_dec": decimal12(pt.R),
-            "Rn_frac": str(pt.Rn),
-            "Rn_dec": decimal12(pt.Rn),
-            "ratio_frac": str(pt.ratio),
-            "ratio_dec": decimal12(pt.ratio),
-            "beta_frac": str(pt.beta),
-            "regime": pt.regime,
-        }
+        payload = {"N": pt.N, "Nr": pt.Nr, "M": pt.M, "S": pt.S, **f}
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
@@ -260,6 +240,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return EXIT_INFEASIBLE
         fixed[name] = value
     values = range(args.axis_from, args.axis_to + 1)
+    if values:
+        # N*Nr is linear in the axis value, so an end of the range has the
+        # largest.
+        ends = [dict(fixed, **{args.axis: v}) for v in (values[0], values[-1])]
+        refuse_above_cap(max(p["N"] * p["Nr"] for p in ends))
     table = sweep(args.axis, values, fixed)
     _write_text(args.out, sweep_csv(args.axis, table))
     if args.out:

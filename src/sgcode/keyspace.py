@@ -25,10 +25,10 @@ def comb0(x: int, y: int) -> int:
 def piece_counts(N: int, Nr: int, M: int, S: int) -> Tuple[int, int, int]:
     """Derived sizes (r, n, alpha): per-server message rows, gradient piece
     count, and key piece count. No feasibility filtering here."""
-    r = comb0(N, S) - comb0(M, S)
+    groups = comb0(N, S)
+    r = groups - comb0(M, S)
     alpha = N - M
-    n = r * Nr - comb0(N, S) * alpha
-    return r, n, alpha
+    return r, r * Nr - groups * alpha, alpha
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .analysis import Infeasible, feasibility_violation
+from .analysis import Infeasible, feasible_counts
 from .exactmat import (
     FieldMatrix,
     SubsetDecoder,
@@ -27,7 +27,7 @@ from .field import (
     sample_array,
     uniform_ints,
 )
-from .keyspace import InvalidParams, comb0, enumerate_groups, piece_counts
+from .keyspace import InvalidParams, comb0, enumerate_groups
 
 RETRY_LIMIT = 32
 
@@ -141,24 +141,20 @@ class DerivedDims:
 
 
 def derive_dims(params: SchemeParams) -> DerivedDims:
-    """Compute (r, n, alpha) and the demand shape; r/n is never reduced."""
-    violation = feasibility_violation(params.N, params.Nr, params.M, params.S)
-    if violation is not None:
-        raise Infeasible(violation)
-    r, n, alpha = piece_counts(params.N, params.Nr, params.M, params.S)
-    keys = alpha * comb0(params.N, params.S)
-    dims = DerivedDims(
+    """Compute (r, n, alpha) and the demand shape; r/n is never reduced.
+    The alpha*C(N,S) key columns are r*Nr - n, so f_rows = r*Nr."""
+    r, n, alpha = feasible_counts(params.N, params.Nr, params.M, params.S)
+    keys = r * params.Nr - n
+    return DerivedDims(
         K=params.K,
         N=params.N,
         S=params.S,
         r=r,
         n=n,
         alpha=alpha,
-        f_rows=n + keys,
+        f_rows=r * params.Nr,
         f_cols=n * params.K + keys,
     )
-    assert dims.f_rows == r * params.Nr
-    return dims
 
 
 def gradient_columns(dims: DerivedDims, params: SchemeParams, dataset: int) -> List[int]:
@@ -411,7 +407,8 @@ def broken_fixed_block(
 # ---- full scheme ------------------------------------------------------------
 
 
-def _refuse_above_cap(entries: int) -> None:
+def refuse_above_cap(entries: int) -> None:
+    """TooLarge when entries exceeds MAX_MATRIX_ENTRIES."""
     if entries > MAX_MATRIX_ENTRIES:
         # A huge count may have more digits than Python converts to a string.
         shown = entries if entries.bit_length() <= 64 else f"2^{entries.bit_length() - 1}"
@@ -428,10 +425,10 @@ def _checked_dims(
     MAX_MATRIX_ENTRIES entries. C is r*N x r*Nr with r >= 1 on every
     feasible tuple, so N*Nr above the cap is refused before derive_dims
     computes a single binomial."""
-    _refuse_above_cap(params.N * params.Nr)
+    refuse_above_cap(params.N * params.Nr)
     dims = derive_dims(params)
     shapes = (dims.r * dims.N, dims.f_rows), (dims.f_rows, dims.f_cols)
-    _refuse_above_cap(max(rows * cols for rows, cols in shapes))
+    refuse_above_cap(max(rows * cols for rows, cols in shapes))
     return dims, shapes
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exactmat import FieldMatrix, first_singular_subset, pivot_columns, rank
 from .field import TooLarge
-from .keyspace import comb0
+from .keyspace import comb0, omega_closed
 from .scheme import (
     SchemeArtifact,
     SchemeParams,
@@ -270,15 +270,12 @@ def verify_monotonicity(params: SchemeParams) -> MonotonicityReport:
     g(x) = (n + alpha*(C(N,S) - C(N-x,S)))/x over x in [Nr], exactly."""
     dims = derive_dims(params)
     N, S = params.N, params.S
-
-    def covered(x: int) -> int:
-        return comb0(N, S) - comb0(N - x, S)
-
     f_vals = tuple(
-        Fraction(dims.alpha * covered(x), x) for x in range(1, N - params.M + 1)
+        Fraction(dims.alpha * omega_closed(N, S, x), x)
+        for x in range(1, N - params.M + 1)
     )
     g_vals = tuple(
-        Fraction(dims.n + dims.alpha * covered(x), x)
+        Fraction(dims.n + dims.alpha * omega_closed(N, S, x), x)
         for x in range(1, params.Nr + 1)
     )
     return MonotonicityReport(

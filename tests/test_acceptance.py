@@ -182,6 +182,7 @@ def test_criterion_1_worked_example_reproduction():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.slow
 def test_criterion_2_security_measure_zero_across_sweep(sweep_outcome):
     assert sweep_outcome.scheme_count == 26460
     assert sweep_outcome.certification_failures == []
@@ -189,6 +190,7 @@ def test_criterion_2_security_measure_zero_across_sweep(sweep_outcome):
     assert sweep_outcome.build_certify_seconds < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_3_every_subset_decodes_across_sweep(sweep_outcome):
     assert sweep_outcome.decode_failures == []
     assert sweep_outcome.coverage_failures == []

@@ -50,6 +50,23 @@ def test_cost_against_direct_binomials():
         assert cost_Rn(N, Nr, M) == Fraction(1, Nr - N + M)
 
 
+def test_cost_point_computes_each_binomial_once(monkeypatch):
+    # One pass: C(N,S) and C(M,S) for the counts, C(N,S) again for beta.
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return math.comb(x, y) if 0 <= y <= x else 0
+
+    monkeypatch.setattr("sgcode.keyspace.comb0", counting)
+    monkeypatch.setattr("sgcode.analysis.comb0", counting)
+    pt = cost_point(14, 12, 8, 6)
+    assert (pt.R, pt.ratio, pt.beta) == (
+        Fraction(425, 2526), Fraction(425, 421), Fraction(429, 425)
+    )
+    assert len(calls) <= 3
+
+
 def test_free_security_regime_collapses_to_optimum():
     # With S > M the secure cost equals the non-secure optimum.
     for (N, Nr, M, S) in [(14, 12, 8, 9), (14, 12, 8, 13), (6, 6, 2, 3)]:
@@ -62,10 +79,14 @@ def test_feasibility_violations():
     assert "S >= N-Nr+2" in feasibility_violation(3, 2, 1, 2)
     assert "not positive" in feasibility_violation(3, 3, 3, 2)
     assert "outside range" in feasibility_violation(3, 3, 4, 2)
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible, match="S >= N-Nr\\+2"):
         cost_R(3, 2, 1, 2)
+    with pytest.raises(Infeasible, match="not positive"):
+        ratio_and_beta(3, 3, 3, 2)
     with pytest.raises(Infeasible):
         cost_Rn(4, 2, 1)
+    assert cost_point(3, 2, 1, 2).reason == feasibility_violation(3, 2, 1, 2)
+    assert cost_point(3, 3, 2, 2).reason is None
 
 
 def test_cost_point_flags_infeasible_but_keeps_rn():

@@ -52,17 +52,63 @@ def test_cost_writes_json_point(tmp_path, capsys):
     args = ["cost", "--N", "14", "--Nr", "12", "--M", "8", "--S", "6",
             "--out", str(out_path)]
     assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "R = 425/2526 (0.168250197941), Rn = 1/6 (0.166666666667), "
+        "ratio = 425/421 (1.00950118765), beta = 429/425, regime S<=M\n"
+    )
     payload = json.loads(out_path.read_text())
     # r = C(14,6) - C(8,6) = 2975, n = 2975*12 - 3003*6 = 17682.
     assert payload["R_frac"] == "425/2526"
     assert payload["Rn_frac"] == "1/6"
     assert payload["regime"] == "S<=M"
+    assert out_path.read_text() == (
+        "{\n"
+        '  "N": 14,\n'
+        '  "Nr": 12,\n'
+        '  "M": 8,\n'
+        '  "S": 6,\n'
+        '  "R_frac": "425/2526",\n'
+        '  "R_dec": "0.168250197941",\n'
+        '  "Rn_frac": "1/6",\n'
+        '  "Rn_dec": "0.166666666667",\n'
+        '  "ratio_frac": "425/421",\n'
+        '  "ratio_dec": "1.00950118765",\n'
+        '  "beta_frac": "429/425",\n'
+        '  "regime": "S<=M"\n'
+        "}\n"
+    )
 
 
 def test_cost_rejects_infeasible_parameters(capsys):
     code = main(["cost", "--N", "3", "--Nr", "2", "--M", "1", "--S", "2"])
     assert code == EXIT_INFEASIBLE
-    assert "infeasible" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "infeasible: feasibility S >= N-Nr+2 violated\n"
+    assert captured.out == ""
+
+
+def test_cost_and_sweep_refuse_n_times_nr_above_the_cap(capsys):
+    # N*Nr above the 2^26-entry cap is refused before any binomial is
+    # computed, as build refuses it.
+    t0 = time.perf_counter()
+    args = ["cost", "--N", "1000000", "--Nr", "1000000", "--M", "1",
+            "--S", "500000"]
+    assert main(args) == EXIT_INFEASIBLE
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert "above the cap" in captured.err and captured.out == ""
+
+    # At the cap itself the point is evaluated.
+    args = ["cost", "--N", "8192", "--Nr", "8192", "--M", "1", "--S", "4096"]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out.startswith("R = 1 (1),")
+
+    # A sweep is refused before its first point when any point is above it.
+    args = ["sweep", "--axis", "N", "--from", "8192", "--to", "8193",
+            "--Nr", "8192", "--M", "1", "--S", "4096"]
+    assert main(args) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert "above the cap" in captured.err and captured.out == ""
 
 
 def test_cost_unwritable_output_is_io_error(tmp_path, capsys):
@@ -396,6 +442,25 @@ def test_sweep_to_stdout(capsys):
     assert len(lines) == 3
     assert lines[1].startswith("M,2,")
     assert lines[2].startswith("M,3,")
+
+    # The README example, byte for byte.
+    args = ["sweep", "--axis", "M", "--from", "3", "--to", "13",
+            "--N", "14", "--Nr", "12", "--S", "6"]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "axis,value,R_frac,R_dec,Rn_frac,Rn_dec,ratio_frac,ratio_dec,regime\n"
+        "M,3,1,1,1,1,1,1,S>M\n"
+        "M,4,1/2,0.5,1/2,0.5,1,1,S>M\n"
+        "M,5,1/3,0.333333333333,1/3,0.333333333333,1,1,S>M\n"
+        "M,6,1501/6000,0.250166666667,1/4,0.25,1501/1500,1.00066666667,S<=M\n"
+        "M,7,428/2133,0.200656352555,1/5,0.2,2140/2133,1.00328176278,S<=M\n"
+        "M,8,425/2526,0.168250197941,1/6,0.166666666667,425/421,1.00950118765,S<=M\n"
+        "M,9,139/953,0.145855194124,1/7,0.142857142857,973/953,1.02098635887,S<=M\n"
+        "M,10,133/1024,0.1298828125,1/8,0.125,133/128,1.0390625,S<=M\n"
+        "M,11,11/93,0.118279569892,1/9,0.111111111111,33/31,1.06451612903,S<=M\n"
+        "M,12,9/82,0.109756097561,1/10,0.1,45/41,1.09756097561,S<=M\n"
+        "M,13,3/29,0.103448275862,1/11,0.0909090909091,33/29,1.13793103448,S<=M\n"
+    )
 
 
 def test_sweep_to_file(tmp_path, capsys):
