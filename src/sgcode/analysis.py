@@ -9,6 +9,7 @@ import io
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .keyspace import comb0, piece_counts
@@ -206,16 +207,16 @@ class OrderOptimalityReport:
         return all(S == 2 and Nr == N for (N, Nr, M, S) in self.argmax)
 
 
+def _candidate_tuples(max_N: int) -> Iterable[Tuple[int, int, int, int]]:
+    """Every (N, Nr, M, S) with N <= max_N and Nr, M, S in [1, N], in
+    lexicographic order."""
+    for N in range(1, max_N + 1):
+        yield from ((N, *rest) for rest in product(range(1, N + 1), repeat=3))
+
+
 def feasible_tuples(max_N: int) -> List[Tuple[int, int, int, int]]:
     """All feasible (N, Nr, M, S) with N <= max_N, in lexicographic order."""
-    out = []
-    for N in range(1, max_N + 1):
-        for Nr in range(1, N + 1):
-            for M in range(1, N + 1):
-                for S in range(1, N + 1):
-                    if feasibility_violation(N, Nr, M, S) is None:
-                        out.append((N, Nr, M, S))
-    return out
+    return [t for t in _candidate_tuples(max_N) if feasibility_violation(*t) is None]
 
 
 def order_optimality_check(max_N: int) -> OrderOptimalityReport:
@@ -227,9 +228,12 @@ def order_optimality_check(max_N: int) -> OrderOptimalityReport:
     bound_failures: List[str] = []
     best = Fraction(0)
     argmax: List[Tuple[int, int, int, int]] = []
-    tuples = feasible_tuples(max_N)
-    for N, Nr, M, S in tuples:
+    checked = 0
+    for N, Nr, M, S in _candidate_tuples(max_N):
         pt = cost_point(N, Nr, M, S)
+        if pt.reason is not None:
+            continue
+        checked += 1
         assert pt.R is not None and pt.Rn is not None and pt.ratio is not None
         if S > M:
             if pt.R != pt.Rn:
@@ -246,7 +250,7 @@ def order_optimality_check(max_N: int) -> OrderOptimalityReport:
             argmax.append((N, Nr, M, S))
     return OrderOptimalityReport(
         max_N=max_N,
-        tuples_checked=len(tuples),
+        tuples_checked=checked,
         equality_failures=tuple(equality_failures),
         bound_failures=tuple(bound_failures),
         max_ratio=best,

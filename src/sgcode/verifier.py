@@ -1,8 +1,9 @@
 """Machine checks for a built scheme: decodability over every responder
-subset, encodability of the unassigned-data and unavailable-key pattern, an
-exact rank-based conditional mutual-information security check, counting and
-monotonicity identities, and a brute-force entropy oracle that validates the
-rank method on tiny instances."""
+subset, encodability of the unassigned-data and unavailable-key pattern,
+security (zero leakage by structure when F's fixed blocks hold, else the
+exact rank-based conditional mutual information), counting and monotonicity
+identities, and a brute-force entropy oracle that validates the rank method
+on tiny instances."""
 
 from __future__ import annotations
 
@@ -71,25 +72,24 @@ class EncodabilityReport:
 
 
 def verify_encodability(scheme: SchemeArtifact) -> EncodabilityReport:
-    """Compute P = C F once and demand zeros at every (server, column) pair
-    the server must not touch: pieces of unassigned datasets and pieces of
-    unavailable keys."""
-    return _encodability(scheme, _transcript_coeff(scheme))
-
-
-def _encodability(scheme: SchemeArtifact, p: np.ndarray) -> EncodabilityReport:
+    """Demand zeros of P = C F at every (server, column) pair the server must
+    not touch: pieces of unassigned datasets and pieces of unavailable keys.
+    Only those entries are formed: C's non-holder rows times F's gradient
+    columns, one product per dataset, and C times F's key columns."""
     params, dims = scheme.params, scheme.dims
+    c, f = scheme.c, scheme.f
     violations: List[str] = []
     for k in range(1, params.K + 1):
-        cols = dims.gradient_columns(k)
-        for server in sorted(scheme.assignment.non_holders(k, params.N)):
-            if np.any(p[dims.server_rows([server])][:, cols]):
-                violations.append(
-                    f"server {server} touches unassigned dataset {k}"
-                )
+        servers = sorted(scheme.assignment.non_holders(k, params.N))
+        if not servers:
+            continue
+        touched = c.take_rows(dims.server_rows(servers)) @ f.take_cols(dims.gradient_columns(k))
+        for server, block in zip(servers, touched.data.reshape(len(servers), -1)):
+            if np.any(block):
+                violations.append(f"server {server} touches unassigned dataset {k}")
+    keys = (c @ f.take_cols(range(dims.n * params.K, dims.f_cols))).data
     for server in range(1, params.N + 1):
-        cols = dims.n * params.K + dims.hidden_key_offsets(server)
-        if np.any(p[dims.server_rows([server])][:, cols]):
+        if np.any(keys[dims.server_rows([server])][:, dims.hidden_key_offsets(server)]):
             violations.append(f"server {server} touches an unavailable key")
     return EncodabilityReport(tuple(violations))
 
@@ -130,10 +130,7 @@ def conditional_mi_rank(scheme: SchemeArtifact) -> Fraction:
     terms rank(Ssum) = n and rank(G) = nK cancel exactly. One column-ordered
     elimination of [A_keys | A_diff] gives both ranks: rank(A_keys) is the
     number of its pivots among the leading key columns."""
-    return _mi_rank(scheme, _transcript_coeff(scheme))
-
-
-def _mi_rank(scheme: SchemeArtifact, a: np.ndarray) -> Fraction:
+    a = _transcript_coeff(scheme)
     dims = scheme.dims
     params = scheme.params
     q = params.q.q
@@ -337,7 +334,7 @@ def _dims_identity(scheme: SchemeArtifact) -> bool:
     dims, params = scheme.dims, scheme.params
     groups = comb0(params.N, params.S)
     return (
-        dims.r == comb0(params.N, params.S) - comb0(params.M, params.S)
+        dims.r == groups - comb0(params.M, params.S)
         and dims.alpha == params.N - params.M
         and dims.n == dims.r * params.Nr - groups * dims.alpha
         and dims.f_rows == dims.n + dims.alpha * groups
@@ -350,14 +347,21 @@ def _dims_identity(scheme: SchemeArtifact) -> bool:
 
 def certify(scheme: SchemeArtifact) -> Certificate:
     """Run every certification check; all five must pass before an artifact
-    may be called certified. P = C F is computed once for encodability and
-    security. The security measure assumes F's fixed blocks, and it is still
-    computed when one of them is broken."""
-    p = _transcript_coeff(scheme)
+    may be called certified.
+
+    When F's fixed blocks hold, the security MI is 0 by structure, for every
+    C and F2. Split C at column n into C_sum and C_key; then the key columns
+    of A = C F are C_key, and the gradient column of piece i, dataset k is
+    C_sum[:, i] + C_key F2[:, (i, k)]. Its difference against dataset 1 is
+    C_key (F2[:, (i, k)] - F2[:, (i, 1)]), which lies in the span of A's key
+    columns, so conditional_mi_rank's two ranks agree: F3 = I adds an
+    independent uniform key piece to every F2 mix. When a block is broken,
+    the MI is measured by conditional_mi_rank."""
+    broken = broken_fixed_block(scheme.f.data, scheme.dims, scheme.params.q)
     return Certificate(
         decodability=verify_decodability(scheme),
-        encodability=_encodability(scheme, p),
-        security_mi=_mi_rank(scheme, p),
+        encodability=verify_encodability(scheme),
+        security_mi=Fraction(0) if broken is None else conditional_mi_rank(scheme),
         dims_identity=_dims_identity(scheme),
-        broken_block=broken_fixed_block(scheme.f.data, scheme.dims, scheme.params.q),
+        broken_block=broken,
     )

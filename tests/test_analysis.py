@@ -172,6 +172,22 @@ def test_order_optimality_audit_small():
     assert report.argmax_at_S2_full_responders
 
 
+def test_order_optimality_check_evaluates_each_candidate_once(monkeypatch):
+    # One pass over the candidates: the feasibility counts of each, and
+    # C(N,S) once more for beta on each of the 1716 feasible tuples.
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return math.comb(x, y) if 0 <= y <= x else 0
+
+    monkeypatch.setattr("sgcode.keyspace.comb0", counting)
+    monkeypatch.setattr("sgcode.analysis.comb0", counting)
+    report = order_optimality_check(12)
+    assert report.tuples_checked == 1716
+    assert len(calls) == 7150
+
+
 def test_order_optimality_rejects_huge_scan():
     with pytest.raises(ValueError):
         order_optimality_check(21)

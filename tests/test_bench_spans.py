@@ -5,6 +5,7 @@ site away instead."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from collections import defaultdict
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import sgcode.engine
 import sgcode.scheme
 import sgcode.verifier
+from sgcode.exactmat import FieldMatrix
 from sgcode.field import SeededRng, make_field
 
 # Sites that bench/spans.py lists but the program had already dropped when
@@ -52,6 +54,13 @@ def test_traced_worked_example_records_work_at_each_layer():
         assert sgcode.verifier.certify(scheme).passed
         report = sgcode.engine.simulate_rounds(scheme, None, 3, SeededRng(0))
         assert report.all_match
+        passing = spans.layer_metrics(tracer.spans, 0)
+        # A passing certify reads its MI off F's structure; the rank-based
+        # security measure (verifier.security) runs on a broken F3 only.
+        f = scheme.f.data.copy()
+        f[scheme.dims.n, scheme.dims.n * params.K] = 0
+        broken = dataclasses.replace(scheme, f=FieldMatrix.wrap(f, params.q))
+        assert not sgcode.verifier.certify(broken).passed
     finally:
         tracer.uninstall()
     work = defaultdict(int)
@@ -60,4 +69,6 @@ def test_traced_worked_example_records_work_at_each_layer():
     for name in ("exactmat.matmul", "scheme.f2_solve", "scheme.subset_checks"):
         assert work[name] > 0, name
     assert "verifier.security" in work
-    assert spans.layer_metrics(tracer.spans, 0)["verifier.certify.calls"] == 1
+    assert passing["verifier.certify.calls"] == 1
+    assert passing["verifier.security.s"] == 0
+    assert spans.layer_metrics(tracer.spans, 0)["verifier.certify.calls"] == 2

@@ -11,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sgcode.verifier
+from sgcode.analysis import feasible_tuples
 from sgcode.engine import simulate_rounds
 from sgcode.exactmat import FieldMatrix
 from sgcode.field import SeededRng, TooLarge, make_field
@@ -19,9 +21,13 @@ from sgcode.scheme import (
     SchemeArtifact,
     SchemeParams,
     build_scheme,
+    cyclic_assignment,
+    demand_pattern,
+    derive_dims,
 )
 from sgcode.verifier import (
     Certificate,
+    EncodabilityReport,
     LinearObservable,
     certify,
     conditional_mi_direct,
@@ -166,6 +172,49 @@ def test_unmasked_key_column_leaks_information(worked):
     n, nk = worked.dims.n, worked.dims.n * worked.params.K
     bad = corrupt_demand(worked, n, nk, 0)
     assert conditional_mi_rank(bad) == 1
+
+
+def random_artifact(params: SchemeParams, rng: np.random.Generator) -> SchemeArtifact:
+    """A uniformly random C and F2 under F's fixed blocks."""
+    dims, field = derive_dims(params), params.q
+    nk = dims.n * params.K
+
+    def uniform(rows, cols):
+        return rng.integers(0, field.q, size=(rows, cols)).astype(field.dtype())
+
+    f = demand_pattern(dims, field)
+    f[dims.n :, :nk] = uniform(dims.f_rows - dims.n, nk)
+    return SchemeArtifact(
+        params=params, dims=dims, assignment=cyclic_assignment(params), seed=0,
+        retries_used=0, c=FieldMatrix.wrap(uniform(dims.r * params.N, dims.f_rows), field),
+        f=FieldMatrix.wrap(f, field),
+    )
+
+
+def test_fixed_blocks_leak_nothing_for_any_c_and_f2():
+    # certify reads MI = 0 off F's structure; the rank identity and the
+    # direct oracle must agree for random C and F2. With F3 zeroed, certify
+    # measures the leak by the rank identity.
+    rng = np.random.default_rng(12)
+    cells = [
+        (q, K, t)
+        for q in (2, 3, 7, 2147483647)
+        for K in (1, 2, 3)
+        for t in feasible_tuples(5)
+    ] + [(2**61 - 1, K, t) for K, t in ((1, (3, 3, 2, 2)), (3, (4, 4, 2, 3)), (2, (5, 4, 2, 3)))]
+    leaks = 0
+    for q, K, (N, Nr, M, S) in cells:
+        params = SchemeParams(K=K, N=N, Nr=Nr, M=M, S=S, q=make_field(q))
+        art = random_artifact(params, rng)
+        assert certify(art).security_mi == 0
+        assert conditional_mi_rank(art) == conditional_mi_direct(art) == 0, (q, K, N, Nr, M, S)
+        f = art.f.data.copy()
+        f[art.dims.n :, art.dims.n * K :] = 0
+        unmasked = dataclasses.replace(art, f=FieldMatrix.wrap(f, params.q))
+        mi = certify(unmasked).security_mi
+        assert mi == conditional_mi_rank(unmasked) == conditional_mi_direct(unmasked)
+        leaks += K > 1 and mi > 0
+    assert leaks > 0
 
 
 def test_security_matches_bruteforce_enumeration(tiny3):
@@ -369,3 +418,87 @@ def test_certificate_refuses_doubled_f1_and_f2(worked):
     assert not cert.passed
     assert cert.to_json_dict()["fixed_blocks"] == {"first_broken": "F1"}
     assert not simulate_rounds(doubled, None, 2, SeededRng(0)).all_match
+
+
+def full_product_certificate(scheme: SchemeArtifact) -> str:
+    """certify's JSON with encodability read off the whole P = C F, per
+    (server, columns), and the rank-based MI on every artifact."""
+    params, dims = scheme.params, scheme.dims
+    p = (scheme.c @ scheme.f).data
+    violations = []
+    for k in range(1, params.K + 1):
+        for server in sorted(scheme.assignment.non_holders(k, params.N)):
+            if np.any(p[dims.server_rows([server])][:, dims.gradient_columns(k)]):
+                violations.append(f"server {server} touches unassigned dataset {k}")
+    for server in range(1, params.N + 1):
+        cols = dims.n * params.K + dims.hidden_key_offsets(server)
+        if np.any(p[dims.server_rows([server])][:, cols]):
+            violations.append(f"server {server} touches an unavailable key")
+    return dataclasses.replace(
+        certify(scheme),
+        encodability=EncodabilityReport(tuple(violations)),
+        security_mi=conditional_mi_rank(scheme),
+    ).to_json()
+
+
+def test_certificate_matches_full_product_reference(worked, wide):
+    rng = np.random.default_rng(5)
+    schemes = [worked, wide] + [
+        build_scheme(SchemeParams(K=K, N=N, Nr=Nr, M=M, S=S, q=make_field(q)), seed=1)
+        for q, K, (N, Nr, M, S) in (
+            (7, 3, (4, 4, 2, 3)), (2147483647, 1, (5, 4, 3, 3)), (2**61 - 1, 2, (4, 3, 2, 3)),
+        )
+    ]
+    seen = set()
+    for scheme in schemes:
+        field, dims = scheme.params.q, scheme.dims
+        n, nk = dims.n, dims.n * scheme.params.K
+        variants = [scheme]
+        for name, rows, cols in (
+            ("c", (0, dims.r * dims.N), (0, dims.f_rows)),
+            ("f", (n, dims.f_rows), (0, nk)),  # F2
+            ("f", (0, n), (0, nk)),  # F1
+            ("f", (0, n), (nk, dims.f_cols)),  # upper-right
+            ("f", (n, dims.f_rows), (nk, dims.f_cols)),  # F3
+        ):
+            for bumps in (1, 3):
+                data = getattr(scheme, name).data.copy()
+                for _ in range(bumps):
+                    i, j = rng.integers(*rows), rng.integers(*cols)
+                    data[i, j] = (int(data[i, j]) + 1) % field.q
+                variants.append(dataclasses.replace(scheme, **{name: FieldMatrix.wrap(data, field)}))
+        for variant in variants:
+            text = certify(variant).to_json()
+            assert text == full_product_certificate(variant)
+            payload = json.loads(text)
+            seen.add(("violations", bool(payload["encodability"]["violations"])))
+            seen.add(("broken", payload["fixed_blocks"]["first_broken"]))
+            seen.add(("leaks", payload["security"]["mi_value"] != "0"))
+    assert {("violations", True), ("leaks", True), ("broken", None)} <= seen
+    assert {("broken", "F1"), ("broken", "upper-right"), ("broken", "F3")} <= seen
+
+
+def test_passing_certify_forms_only_the_checked_entries(wide, monkeypatch):
+    # A passing artifact takes no security elimination and no product with
+    # all of F's columns; a broken F3 takes both, through the rank identity.
+    product_cols, pivots = [], []
+    matmul = FieldMatrix.__matmul__
+    pivot_columns = sgcode.verifier.pivot_columns
+
+    def recording_matmul(a, b):
+        product_cols.append(b.cols)
+        return matmul(a, b)
+
+    def recording_pivots(a):
+        pivots.append(a.shape)
+        return pivot_columns(a)
+
+    monkeypatch.setattr(FieldMatrix, "__matmul__", recording_matmul)
+    monkeypatch.setattr(sgcode.verifier, "pivot_columns", recording_pivots)
+    f_cols = wide.dims.f_cols
+    assert certify(wide).passed
+    assert product_cols and f_cols not in product_cols
+    assert pivots == []
+    n, nk = wide.dims.n, wide.dims.n * wide.params.K
+    assert certify(corrupt_demand(wide, n, nk, 0)).broken_block == "F3"
+    assert f_cols in product_cols and pivots
