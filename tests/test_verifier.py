@@ -185,9 +185,13 @@ def random_artifact(params: SchemeParams, rng: np.random.Generator) -> SchemeArt
     f = demand_pattern(dims, field)
     f[dims.n :, :nk] = uniform(dims.f_rows - dims.n, nk)
     return SchemeArtifact(
-        params=params, dims=dims, assignment=cyclic_assignment(params), seed=0,
-        retries_used=0, c=FieldMatrix.wrap(uniform(dims.r * params.N, dims.f_rows), field),
+        params=params,
+        dims=dims,
+        assignment=cyclic_assignment(params),
+        c=FieldMatrix.wrap(uniform(dims.r * params.N, dims.f_rows), field),
         f=FieldMatrix.wrap(f, field),
+        seed=0,
+        retries_used=0,
     )
 
 
@@ -201,7 +205,8 @@ def test_fixed_blocks_leak_nothing_for_any_c_and_f2():
         for q in (2, 3, 7, 2147483647)
         for K in (1, 2, 3)
         for t in feasible_tuples(5)
-    ] + [(2**61 - 1, K, t) for K, t in ((1, (3, 3, 2, 2)), (3, (4, 4, 2, 3)), (2, (5, 4, 2, 3)))]
+    ]
+    cells += [(2**61 - 1, 1, (3, 3, 2, 2)), (2**61 - 1, 3, (4, 4, 2, 3)), (2**61 - 1, 2, (5, 4, 2, 3))]
     leaks = 0
     for q, K, (N, Nr, M, S) in cells:
         params = SchemeParams(K=K, N=N, Nr=Nr, M=M, S=S, q=make_field(q))
