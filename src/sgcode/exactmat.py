@@ -364,12 +364,13 @@ def rank(a: FieldMatrix) -> int:
     return len(pivot_columns(a))
 
 
-def _row_blocks(r: int, count: int) -> List[np.ndarray]:
-    """block[i] holds the r row indices of the server at 0-based position i."""
-    return [np.arange(r * i, r * (i + 1)) for i in range(count)]
+def row_blocks(r: int, count: int) -> List[np.ndarray]:
+    """The server row map: block[i] holds the r rows of the server at 0-based i."""
+    return [np.arange(r * i, r * (i + 1), dtype=np.intp) for i in range(count)]
 
 
-def _block_rows(block: List[np.ndarray], positions: List[int]) -> np.ndarray:
+def block_rows(block: List[np.ndarray], positions: List[int]) -> np.ndarray:
+    """The row indices of the blocks at the 0-based positions, in order."""
     if not positions:
         return np.empty(0, dtype=np.intp)
     return np.concatenate([block[i] for i in positions])
@@ -403,14 +404,14 @@ class SubsetDecoder:
         self.t = aug[:, m:rows].T
         self.e = np.ascontiguousarray(aug[:, rows:].T)
         self.q, self.Nr = q, Nr
-        self.block = _row_blocks(r, rows // r)
+        self.block = row_blocks(r, rows // r)
 
     def _exchange(self, subset: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
         """For the sorted 1-based subset U = U0 - A + B: the rows of A within
         C_U0 and the rows of B within T."""
         dropped = sorted(set(range(self.Nr)) - {s - 1 for s in subset})
         added = [s - self.Nr - 1 for s in subset if s > self.Nr]
-        return _block_rows(self.block, dropped), _block_rows(self.block, added)
+        return block_rows(self.block, dropped), block_rows(self.block, added)
 
     def invertible(self, subset: Tuple[int, ...]) -> bool:
         """Whether C_U of the sorted subset is invertible."""
@@ -426,7 +427,7 @@ class SubsetDecoder:
         dropped, added = self._exchange(subset)
         if not dropped.size:
             return _matmul_kernel(self.e, x_u, q)
-        kept = _block_rows(self.block, [s - 1 for s in subset if s <= self.Nr])
+        kept = block_rows(self.block, [s - 1 for s in subset if s <= self.Nr])
         x_k, x_b = x_u[: kept.size], x_u[kept.size :]
         rhs = (x_b - _matmul_kernel(self.t[np.ix_(added, kept)], x_k, q)) % q
         aug = np.concatenate([self.t[np.ix_(added, dropped)], rhs], axis=1)

@@ -16,7 +16,9 @@ from .exactmat import (
     FieldMatrix,
     SubsetDecoder,
     Unsolvable,
+    block_rows,
     first_singular_subset,
+    row_blocks,
     solve_linear,
 )
 from .field import (
@@ -112,8 +114,11 @@ class DerivedDims:
 
     def server_rows(self, servers: Iterable[int]) -> np.ndarray:
         """Row indices of C and X of the servers' blocks, in the given order."""
-        s = np.fromiter(servers, dtype=np.intp)
-        return ((s[:, None] - 1) * self.r + np.arange(self.r)).reshape(-1)
+        return block_rows(self._row_blocks, [s - 1 for s in servers])
+
+    @cached_property
+    def _row_blocks(self) -> List[np.ndarray]:
+        return row_blocks(self.r, self.N)
 
     def gradient_columns(self, dataset: int) -> List[int]:
         """F columns and W rows of the dataset's pieces."""
@@ -155,11 +160,6 @@ def derive_dims(params: SchemeParams) -> DerivedDims:
         f_rows=r * params.Nr,
         f_cols=n * params.K + keys,
     )
-
-
-def gradient_columns(dims: DerivedDims, params: SchemeParams, dataset: int) -> List[int]:
-    """DerivedDims.gradient_columns as a free function."""
-    return dims.gradient_columns(dataset)
 
 
 # ---- data assignment --------------------------------------------------------
@@ -247,16 +247,6 @@ def validate_assignment(
 # ---- coding matrix ----------------------------------------------------------
 
 
-def _distinct_nonholder_sets(
-    params: SchemeParams, assignment: DataAssignment
-) -> List[FrozenSet[int]]:
-    seen = {
-        assignment.non_holders(k, params.N) for k in range(1, params.K + 1)
-    }
-    seen.discard(frozenset())
-    return sorted(seen, key=sorted)
-
-
 def _sample_coding(
     params: SchemeParams, dims: DerivedDims, rng: SeededRng
 ) -> np.ndarray:
@@ -267,49 +257,6 @@ def _sample_coding(
         cols = dims.n + dims.hidden_key_offsets(server)
         arr[np.ix_(dims.server_rows([server]), cols)] = 0
     return arr
-
-
-def _nonholder_solution(
-    arr: np.ndarray, dims: DerivedDims, dbar: FrozenSet[int], field: FieldModulus
-) -> np.ndarray:
-    """The canonical solution X of C_Q(non-holder rows) X = -C_G(non-holder
-    rows): F2's columns for every dataset that the servers dbar lack.
-
-    Raises Unsolvable when C_Q(non-holder rows) lacks full row rank, which
-    the pivot count of the solve's own elimination decides: one elimination
-    both checks the rank and solves.
-    """
-    sub = arr[dims.server_rows(sorted(dbar))]
-    pivots: List[int] = []
-    x = solve_linear(
-        FieldMatrix.wrap(sub[:, dims.n :], field),
-        FieldMatrix.wrap((-sub[:, : dims.n]) % field.q, field),
-        pivots,
-    )
-    if len(pivots) < sub.shape[0]:
-        raise Unsolvable("key rows lack full row rank")
-    return x.data
-
-
-def _coding_defect(
-    arr: np.ndarray,
-    params: SchemeParams,
-    dims: DerivedDims,
-    assignment: DataAssignment,
-    field: FieldModulus,
-) -> Tuple[Optional[str], Dict[FrozenSet[int], np.ndarray]]:
-    """(None, F2 solutions per distinct non-holder set) when every rank
-    certification passes, else (a description, {})."""
-    _, failure = first_singular_subset(arr, field.q, dims.r, params.N, params.Nr)
-    if failure is not None:
-        return f"responder subset {failure} is not invertible", {}
-    solutions: Dict[FrozenSet[int], np.ndarray] = {}
-    for dbar in _distinct_nonholder_sets(params, assignment):
-        try:
-            solutions[dbar] = _nonholder_solution(arr, dims, dbar, field)
-        except Unsolvable:
-            return f"key rows of non-holders {sorted(dbar)} lack full row rank", {}
-    return None, solutions
 
 
 def recommended_min_q(
@@ -328,25 +275,6 @@ def recommended_min_q(
     )
 
 
-def _build_coding(
-    params: SchemeParams,
-    dims: DerivedDims,
-    assignment: DataAssignment,
-    rng: SeededRng,
-) -> Tuple[FieldMatrix, int, Dict[FrozenSet[int], np.ndarray]]:
-    defect: Optional[str] = "no attempt made"
-    for attempt in range(RETRY_LIMIT):
-        arr = _sample_coding(params, dims, rng.spawn(f"sample-{attempt}"))
-        defect, solutions = _coding_defect(arr, params, dims, assignment, params.q)
-        if defect is None:
-            return FieldMatrix.wrap(arr, params.q), attempt, solutions
-    raise ConstructionFailed(
-        f"{RETRY_LIMIT} attempts failed (last: {defect}); "
-        f"q={params.q.q} is below the recommended minimum "
-        f"{recommended_min_q(params, dims, assignment)}"
-    )
-
-
 # ---- demand matrix ----------------------------------------------------------
 
 
@@ -360,24 +288,47 @@ def demand_pattern(dims: DerivedDims, field: FieldModulus) -> np.ndarray:
     return f
 
 
-def _demand(
+def _attempt(
+    arr: np.ndarray,
     params: SchemeParams,
     dims: DerivedDims,
     assignment: DataAssignment,
-    solutions: Dict[FrozenSet[int], np.ndarray],
-) -> FieldMatrix:
-    """The fixed pattern with F2's columns filled in from the solutions.
+) -> Tuple[Optional[str], Optional[np.ndarray]]:
+    """(None, F) when the sampled C passes every rank certification, else
+    (a description of the first defect, None).
 
-    Because F1 restricted to a dataset's columns is the identity, the F2
-    columns of dataset k solve C_Q(non-holder rows) X = -C_G(non-holder
-    rows), which depends on k only through its non-holder set; solutions
-    holds one canonical solution per set (_nonholder_solution)."""
-    f = demand_pattern(dims, params.q)
+    Every size-Nr subset's C_U must be invertible. Then, because F1
+    restricted to a dataset's columns is the identity, the F2 columns of
+    dataset k solve C_Q X = -C_G on the rows of its non-holders, which
+    depends on k only through that set. One solve per distinct set, in
+    sorted order, writes the canonical X into F; its own pivot count decides
+    whether the set's key rows have full row rank."""
+    field = params.q
+    _, failure = first_singular_subset(arr, field.q, dims.r, params.N, params.Nr)
+    if failure is not None:
+        return f"responder subset {failure} is not invertible", None
+    datasets: Dict[FrozenSet[int], List[int]] = {}
     for k in range(1, params.K + 1):
         dbar = assignment.non_holders(k, params.N)
         if dbar:
-            f[dims.n :, dims.gradient_columns(k)] = solutions[dbar]
-    return FieldMatrix.wrap(f, params.q)
+            datasets.setdefault(dbar, []).append(k)
+    f = demand_pattern(dims, field)
+    for dbar in sorted(datasets, key=sorted):
+        sub = arr[dims.server_rows(sorted(dbar))]
+        pivots: List[int] = []
+        try:
+            x = solve_linear(
+                FieldMatrix.wrap(sub[:, dims.n :], field),
+                FieldMatrix.wrap((-sub[:, : dims.n]) % field.q, field),
+                pivots,
+            )
+        except Unsolvable:
+            pivots = []
+        if len(pivots) < sub.shape[0]:
+            return f"key rows of non-holders {sorted(dbar)} lack full row rank", None
+        for k in datasets[dbar]:
+            f[dims.n :, dims.gradient_columns(k)] = x.data
+    return None, f
 
 
 _FIXED_BLOCK_ERRORS = {
@@ -461,10 +412,10 @@ def build_scheme(
     assignment: Optional[DataAssignment] = None,
     seed: int = 0,
 ) -> SchemeArtifact:
-    """derive_dims, then construct C and F; deterministic in
-    (params, assignment, seed). Raises TooLarge, before allocating either,
-    when C or F would hold more than MAX_MATRIX_ENTRIES entries (N*Nr above
-    the cap is refused before derive_dims)."""
+    """derive_dims, then sample C and build F until an attempt passes, or raise
+    ConstructionFailed after RETRY_LIMIT; deterministic in (params, assignment,
+    seed). Raises TooLarge, before allocating C or F, above MAX_MATRIX_ENTRIES
+    entries in either (N*Nr above the cap is refused before derive_dims)."""
     dims, _ = _checked_dims(params)
     if assignment is None:
         assignment = cyclic_assignment(params)
@@ -472,15 +423,18 @@ def build_scheme(
     if violations:
         raise BadAssignment("; ".join(violations))
     rng = SeededRng(seed).spawn("coding")
-    c, retries, solutions = _build_coding(params, dims, assignment, rng)
-    return SchemeArtifact(
-        params=params,
-        dims=dims,
-        assignment=assignment,
-        c=c,
-        f=_demand(params, dims, assignment, solutions),
-        seed=seed,
-        retries_used=retries,
+    for attempt in range(RETRY_LIMIT):
+        arr = _sample_coding(params, dims, rng.spawn(f"sample-{attempt}"))
+        defect, f = _attempt(arr, params, dims, assignment)
+        if f is not None:
+            return SchemeArtifact(
+                params=params, dims=dims, assignment=assignment, seed=seed, retries_used=attempt,
+                c=FieldMatrix.wrap(arr, params.q), f=FieldMatrix.wrap(f, params.q),
+            )
+    raise ConstructionFailed(
+        f"{RETRY_LIMIT} attempts failed (last: {defect}); "
+        f"q={params.q.q} is below the recommended minimum "
+        f"{recommended_min_q(params, dims, assignment)}"
     )
 
 

@@ -43,7 +43,6 @@ from sgcode.scheme import (
     SchemeParams,
     build_scheme,
     cyclic_assignment,
-    gradient_columns,
     random_assignment,
 )
 from sgcode.verifier import (
@@ -176,7 +175,7 @@ def test_criterion_1_worked_example_reproduction():
 
     # Server 1 must not touch dataset 1: C_1 F(:, G_1) is the 2x3 zero block.
     c1 = scheme.c.take_rows(range(2))
-    g1 = scheme.f.take_cols(gradient_columns(scheme.dims, params, 1))
+    g1 = scheme.f.take_cols(scheme.dims.gradient_columns(1))
     assert (c1 @ g1).is_zero()
 
     assert time.perf_counter() - t0 < 1.0

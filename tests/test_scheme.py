@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sgcode.scheme
 from sgcode.analysis import Infeasible, feasibility_violation, feasible_tuples
-from sgcode.exactmat import FieldMatrix, Unsolvable, rank, solve_linear
+from sgcode.exactmat import FieldMatrix, rank, solve_linear
 from sgcode.field import SeededRng, TooLarge, make_field
 from sgcode.keyspace import comb0
 from sgcode.scheme import (
@@ -28,12 +29,10 @@ from sgcode.scheme import (
     build_scheme,
     cyclic_assignment,
     derive_dims,
-    gradient_columns,
     random_assignment,
     recommended_min_q,
     validate_assignment,
-    _coding_defect,
-    _nonholder_solution,
+    _attempt,
     _sample_coding,
 )
 
@@ -201,7 +200,7 @@ def test_non_holder_key_rows_have_full_row_rank(small_scheme):
 def test_nonholder_check_is_the_f2_solve(q):
     # Over small fields the sampled key rows are often rank-deficient. The
     # one solve per non-holder set must flag exactly the first set whose key
-    # rows lack full row rank, and otherwise yield the canonical F2 columns.
+    # rows lack full row rank, and otherwise write the canonical F2 columns.
     params = SchemeParams(K=2, N=4, Nr=4, M=2, S=2, q=make_field(q))
     dims = derive_dims(params)
     assignment = cyclic_assignment(params)
@@ -209,33 +208,37 @@ def test_nonholder_check_is_the_f2_solve(q):
     seen = set()
     for seed in range(200):
         arr = _sample_coding(params, dims, SeededRng(seed))
-        defect, solutions = _coding_defect(arr, params, dims, assignment, params.q)
+        defect, f = _attempt(arr, params, dims, assignment)
         if defect is not None and defect.startswith("responder subset"):
             continue
-        blocks = []
-        for dbar in sets:
-            blocks.append((dbar, arr[dims.server_rows(sorted(dbar))]))
-        full = [rank(FieldMatrix.wrap(b[:, dims.n :], params.q)) == b.shape[0] for _, b in blocks]
+        blocks = {dbar: arr[dims.server_rows(sorted(dbar))] for dbar in sets}
+        full = [
+            rank(FieldMatrix.wrap(blocks[dbar][:, dims.n :], params.q)) == blocks[dbar].shape[0]
+            for dbar in sets
+        ]
         if all(full):
             seen.add("solved")
-            assert defect is None and set(solutions) == set(sets)
-            for dbar, b in blocks:
+            assert defect is None
+            for k in (1, 2):
+                b = blocks[assignment.non_holders(k, 4)]
                 want = solve_linear(
                     FieldMatrix.wrap(b[:, dims.n :], params.q),
                     FieldMatrix.wrap((-b[:, : dims.n]) % q, params.q),
                 )
-                assert np.array_equal(solutions[dbar], want.data)
+                assert np.array_equal(f[dims.n :, dims.gradient_columns(k)], want.data)
         else:
             seen.add("defect")
             first = sets[full.index(False)]
             assert defect == f"key rows of non-holders {sorted(first)} lack full row rank"
-            assert solutions == {}
+            assert f is None
     assert seen == {"solved", "defect"}
 
 
-def test_nonholder_check_flags_a_consistent_rank_deficient_system():
+def test_nonholder_check_flags_a_consistent_rank_deficient_system(monkeypatch):
     # A repeated non-holder row keeps C_Q X = -C_G solvable while the key
-    # rows lose full row rank; the check must still flag it.
+    # rows lose full row rank; the check must still flag it. The repeat also
+    # makes every C_U holding that server singular, so the subset scan is
+    # stubbed out to reach the non-holder check.
     scheme = build_scheme(SchemeParams(K=2, N=4, Nr=4, M=2, S=2, q=Q), seed=0)
     dims = scheme.dims
     dbar = scheme.assignment.non_holders(1, 4)
@@ -247,8 +250,32 @@ def test_nonholder_check_flags_a_consistent_rank_deficient_system():
         FieldMatrix.wrap(arr[rows][:, dims.n :], Q),
         FieldMatrix.wrap((-arr[rows][:, : dims.n]) % Q.q, Q),
     )
-    with pytest.raises(Unsolvable):
-        _nonholder_solution(arr, dims, dbar, Q)
+    monkeypatch.setattr(sgcode.scheme, "first_singular_subset", lambda *args: (1, None))
+    defect, f = _attempt(arr, scheme.params, dims, scheme.assignment)
+    assert defect == f"key rows of non-holders {sorted(dbar)} lack full row rank"
+    assert f is None
+
+
+def test_construction_failures_are_pinned():
+    # Every failing GF(2) and GF(3) build with N <= 4, K <= 3 and seeds 0
+    # and 1 (cyclic assignment): both defect kinds occur, and a change to the
+    # defect order or wording changes the digest.
+    digest = hashlib.sha256()
+    failed = 0
+    for N, Nr, M, S in feasible_tuples(4):
+        for K in (1, 2, 3):
+            for q in (2, 3):
+                for seed in (0, 1):
+                    params = SchemeParams(K=K, N=N, Nr=Nr, M=M, S=S, q=make_field(q))
+                    try:
+                        build_scheme(params, seed=seed)
+                    except ConstructionFailed as err:
+                        failed += 1
+                        digest.update(f"{(K, N, Nr, M, S, q, seed)}: {err}\n".encode())
+    assert failed == 63
+    assert digest.hexdigest() == (
+        "ec326eb7b4732bfae946957d989c07ab8b0d5a586b6571cd795dcbec03732401"
+    )
 
 
 def test_construction_failure_when_field_too_small():
@@ -289,9 +316,9 @@ def test_recommended_min_q_formula(small_scheme):
 
 def test_gradient_columns_interleaving():
     dims = derive_dims(small_params())
-    assert gradient_columns(dims, small_params(), 1) == [0, 3, 6]
-    assert gradient_columns(dims, small_params(), 2) == [1, 4, 7]
-    assert gradient_columns(dims, small_params(), 3) == [2, 5, 8]
+    assert dims.gradient_columns(1) == [0, 3, 6]
+    assert dims.gradient_columns(2) == [1, 4, 7]
+    assert dims.gradient_columns(3) == [2, 5, 8]
 
 
 def f_blocks(scheme):
@@ -317,7 +344,7 @@ def test_demand_structure(small_scheme):
 
 def test_demand_restricted_to_one_dataset_is_identity(small_scheme):
     dims = small_scheme.dims
-    cols = gradient_columns(dims, small_scheme.params, 1)
+    cols = dims.gradient_columns(1)
     assert np.array_equal(f_blocks(small_scheme)[0][:, cols], np.eye(3, dtype=np.int64))
 
 
@@ -327,7 +354,7 @@ def test_demand_cancels_non_holders(small_scheme):
     p = (small_scheme.c @ small_scheme.f).data
     dims = small_scheme.dims
     for k in range(1, 4):
-        cols = gradient_columns(dims, small_scheme.params, k)
+        cols = dims.gradient_columns(k)
         for server in sorted(small_scheme.assignment.non_holders(k, 3)):
             rows = dims.server_rows([server])
             assert not p[rows][:, cols].any()
