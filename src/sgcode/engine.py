@@ -86,13 +86,13 @@ def encode(scheme: SchemeArtifact, w: FieldMatrix) -> FieldMatrix:
 def _responder_subset(
     scheme: SchemeArtifact, responders: Sequence[int]
 ) -> Tuple[int, ...]:
-    """The responders as a sorted tuple; raises unless they are integer ids
-    (not bools, floats or strings) forming a size-Nr subset of [1, N]."""
+    """The responders as a sorted tuple; raises unless they are Nr distinct
+    integer ids (not bools, floats or strings) in [1, N]."""
     p = scheme.params
     ids = list(responders)
     if all(is_integer(s) for s in ids):
         subset = tuple(sorted(set(int(s) for s in ids)))
-        if len(subset) == p.Nr and all(1 <= s <= p.N for s in subset):
+        if len(ids) == len(subset) == p.Nr and all(1 <= s <= p.N for s in subset):
             return subset
     raise WrongSubsetSize(
         f"responders {ids} is not a size-{p.Nr} subset of [1, {p.N}]"

@@ -1,8 +1,8 @@
 """Dense exact matrices over GF(q): rank, canonical linear solve, and the
 responder-subset invertibility scan and subset decoder.
-Every result is exact integer arithmetic; large int64 products run their
-16-bit limbs through float64 BLAS only where every sum is an integer below
-2^53 (see the kernel notes)."""
+Every result is exact integer arithmetic; large int64 products run 64-wide
+inner blocks of a's 16-bit limbs through float64 BLAS, where every sum is an
+integer below 2^53 (see the kernel notes)."""
 
 from __future__ import annotations
 
@@ -37,38 +37,33 @@ class Singular(ValueError):
 # - Elimination (_rank_kernel, _reduce_rows). Row values are < q < 2^31, so a
 #   block update pivot*row_t - lead_t*row_p or row_t - lead_t*row_p stays
 #   inside (-2^62, 2^62) before _reduce brings it back to [0, q).
-# - Products (_matmul_kernel). Both operands split into 16-bit limbs, so
-#   every limb product is below 2^32. With inner dimension k <= 2^21 each
-#   limb sum is an integer below 2^53, which float64 holds exactly, so the
-#   BLAS dgemm behind float64 @ gives exact sums in any summation order and
-#   with or without FMA. The four limb products recombine in int64 as
-#   hh * (2^32 mod q) + (hl + lh) * 2^16 + ll after reducing hh and hl + lh,
-#   which stays below 2^62 + 2^47 + 2^53 < 2^63.
-# - Short products. With k <= _F64_SHORT_INNER = 64, as in every panel
-#   update of the blocked elimination, only a splits into limbs and b is
-#   multiplied whole: each product of a limb below 2^16 and an entry below
-#   2^31 is below 2^47, so every sum is below 64 * 2^16 * 2^31 = 2^53. The
-#   two products recombine as (hi mod q) * 2^16 + lo < 2^47 + 2^53. Two BLAS
-#   products and three conversions replace four and six, with the same
-#   result.
-# - The float path has a fixed cost of six conversions and four BLAS calls
-#   (about 35 us on a 2-core x86-64 box with OpenBLAS), so a product of
-#   fewer than _F64_MIN_MAC = 2^15 multiply-adds (m*k*n) keeps the int64
-#   limb product (a >> 16) @ b and (a & 0xFFFF) @ b. The high limb's sums
-#   stay below 2^46 * k and the low limb's below 2^47 * k; a non-empty
-#   product below the threshold has k < 2^15, so both stay below 2^62.
-#   Most products of the small schemes sit below that size; the transcript
-#   product and encode of an N = 8 scheme sit far above it. The paths give
-#   identical results, and the threshold is where they cost the same. Any
-#   other int64 product, with k > 2^21 (or an empty one with k > 2^16),
-#   runs on Python integers and comes back as int64.
+# - Products (_matmul_kernel). An int64 product of at least _F64_MIN_MAC =
+#   2^15 multiply-adds (m*k*n) splits a into 16-bit limbs, converts b to
+#   float64 whole, and runs the inner dimension in blocks of _F64_INNER = 64:
+#   two BLAS products per block, one per limb of a. The limbs are below 2^15
+#   and 2^16 and b's entries below 2^31, so every sum is an integer below
+#   64 * 2^16 * 2^31 = 2^53, which float64 holds exactly; the BLAS dgemm
+#   behind float64 @ gives exact sums in any summation order and with or
+#   without FMA. One int64 accumulator enters each block in [0, q) and gains
+#   (hi mod q) * 2^16 + lo < 2^47 + 2^53, so it stays below 2^54 until
+#   _reduce brings it back to [0, q) in place.
+# - A smaller product keeps the int64 limb product (a >> 16) @ b and
+#   (a & 0xFFFF) @ b. The high limb's sums stay below 2^46 * k and the low
+#   limb's below 2^47 * k; a non-empty product below the threshold has
+#   k < 2^15, so both stay below 2^62, and an empty one has no sums. Most
+#   products of the small schemes sit below that size; the transcript
+#   product and encode of an N = 8 scheme sit far above it. Both paths give
+#   identical results. The threshold was measured as where the int64 path
+#   and an earlier float path (both operands split, four BLAS products, a
+#   fixed cost of about 35 us on a 2-core x86-64 box with OpenBLAS) cost the
+#   same; it has not been re-measured against the blocked two-product path.
 # - Blocked elimination (_eliminate_blocked). An int64 elimination of at
 #   least _BLOCK_MIN_ENTRIES = 2^15 entries whose first stop_col columns
 #   span more than one panel of _BLOCK_WIDTH = 64 runs panel by panel: the
 #   row rank kernel on the panel, _reduce_rows on the k x k pivot block
 #   (k <= 64), then each other row's trailing columns less two chained
-#   _matmul_kernel products of inner dimension k, which take the short
-#   product at or above the size threshold. Both products come back in
+#   _matmul_kernel products of inner dimension k, each of which is a single
+#   64-wide block when it takes the float path. Both products come back in
 #   [0, q), so every difference lies in (-q, q) before _reduce. Object
 #   dtype always runs the row kernels.
 # - The threshold is where the two paths cost the same. Over 44 random
@@ -83,9 +78,7 @@ class Singular(ValueError):
 #   to 138 x 460): 0.51 s at 64 against 0.53-0.68 s at 32, 48, 96 and 128.
 
 _F64_MIN_MAC = 1 << 15
-_F64_MAX_INNER = 1 << 21
-_F64_SHORT_INNER = 64
-_INT_MAX_INNER = 1 << 16
+_F64_INNER = 64
 _BLOCK_WIDTH = 64
 _BLOCK_MIN_ENTRIES = 1 << 15
 
@@ -244,10 +237,6 @@ def _eliminate_blocked(
     return pivots
 
 
-def _f64_limbs(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return (x >> 16).astype(np.float64), (x & 0xFFFF).astype(np.float64)
-
-
 def _f64_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b of float64 limbs, exact below 2^53, as int64."""
     return (a @ b).astype(np.int64)
@@ -257,26 +246,19 @@ def _matmul_kernel(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Exact modular product of value-reduced arrays."""
     if a.dtype == np.int64 and b.dtype == np.int64:
         (m, k), n = a.shape, b.shape[1]
-        if k <= _F64_SHORT_INNER and m * k * n >= _F64_MIN_MAC:
-            a_hi, a_lo = _f64_limbs(a)
-            whole = b.astype(np.float64)
-            out = _reduce(_f64_product(a_hi, whole), q) << 16
-            out += _f64_product(a_lo, whole)
-            return _reduce(out, q)
-        if k <= _F64_MAX_INNER and m * k * n >= _F64_MIN_MAC:
-            a_hi, a_lo = _f64_limbs(a)
-            b_hi, b_lo = _f64_limbs(b)
-            out = _reduce(_f64_product(a_hi, b_hi), q) * ((1 << 32) % q)
-            mid = _f64_product(a_hi, b_lo)
-            mid += _f64_product(a_lo, b_hi)
-            out += _reduce(mid, q) << 16
-            out += _f64_product(a_lo, b_lo)
-            return _reduce(out, q)
-        if k <= _INT_MAX_INNER:
+        if m * k * n < _F64_MIN_MAC:
             hi = (a >> 16) @ b % q
             lo = (a & 0xFFFF) @ b % q
             return (hi * 65536 + lo) % q
-        return _matmul_kernel(a.astype(object), b, q).astype(np.int64)
+        a_hi, a_lo = (a >> 16).astype(np.float64), (a & 0xFFFF).astype(np.float64)
+        whole = b.astype(np.float64)
+        out = np.zeros((m, n), dtype=np.int64)
+        for c in range(0, k, _F64_INNER):
+            block = slice(c, c + _F64_INNER)
+            out += _reduce(_f64_product(a_hi[:, block], whole[block]), q) << 16
+            out += _f64_product(a_lo[:, block], whole[block])
+            _reduce(out, q)
+        return out
     return np.dot(a.astype(object), b.astype(object)) % q
 
 

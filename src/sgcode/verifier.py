@@ -49,8 +49,11 @@ def rank_entropy(obs: LinearObservable) -> Fraction:
 @dataclass(frozen=True)
 class DecodabilityReport:
     subsets_checked: int
-    passed: bool
     first_failure: Optional[Tuple[int, ...]]
+
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
 
 
 def verify_decodability(scheme: SchemeArtifact) -> DecodabilityReport:
@@ -59,7 +62,7 @@ def verify_decodability(scheme: SchemeArtifact) -> DecodabilityReport:
     checked, failure = first_singular_subset(
         scheme.c.data, params.q.q, scheme.dims.r, params.N, params.Nr
     )
-    return DecodabilityReport(checked, failure is None, failure)
+    return DecodabilityReport(checked, failure)
 
 
 @dataclass(frozen=True)

@@ -365,7 +365,8 @@ def test_simulate_rejects_bad_length(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra",
     [["--L", "1"], ["--L", "-3"], ["--responders", "1,2"],
-     ["--responders", "1,2,4"], ["--responders", "1,2,x"], ["--rounds", "-1"]],
+     ["--responders", "1,2,4"], ["--responders", "1,2,x"], ["--rounds", "-1"],
+     ["--responders", "1,1,2,3"]],
 )
 def test_simulate_refuses_bad_inputs_before_certifying(
     tmp_path, capsys, monkeypatch, extra

@@ -213,6 +213,8 @@ def test_decode_rejects_bad_subsets(wide_scheme):
         decode(wide_scheme, transcript, (1, 2, 3, 9))
     with pytest.raises(WrongSubsetSize):
         decode(wide_scheme, transcript, (1, 2, 3, 3))
+    with pytest.raises(WrongSubsetSize):
+        decode(wide_scheme, transcript, (4, 3, 2, 1, 1))
 
 
 def _refused_before_work(scheme, transcript, error, match):
@@ -477,6 +479,10 @@ def test_simulation_validates_inputs(wide_scheme):
     with pytest.raises(WrongSubsetSize):
         simulate_rounds(
             wide_scheme, L=None, rounds=1, rng=SeededRng(0), responders=(1, 2)
+        )
+    with pytest.raises(WrongSubsetSize):
+        simulate_rounds(
+            wide_scheme, L=None, rounds=1, rng=SeededRng(0), responders=(1, 1, 2, 3, 4)
         )
     with pytest.raises(ValueError, match="negative"):
         simulate_rounds(wide_scheme, L=None, rounds=-1, rng=SeededRng(0))

@@ -175,30 +175,37 @@ def _count_f64_products(monkeypatch):
 
 
 def _products(k, f64):
-    """float64 products a limb path runs: two for inner dimension k <= 64,
-    four above it, none off the float path."""
-    return 0 if not f64 else 2 if k <= 64 else 4
+    """float64 products the limb path runs: two for each 64-wide block of
+    the inner dimension k, none off the float path."""
+    return 2 * -(-k // 64) if f64 else 0
+
+
+def _top(q):
+    """The largest entry for the limb bounds: 0x7FFEFFFF has the largest low
+    limb, 0xFFFF, below 2^31 - 1; smaller fields take q - 1."""
+    return 0x7FFEFFFF if q > 0x7FFEFFFF else q - 1
 
 
 @pytest.mark.parametrize(
     "m, k, n, f64, q, top",
     [
         pytest.param(1, 1 << 21, 2, True, DEFAULT.q, DEFAULT.q - 1, id="2097152-True"),
-        pytest.param(1, (1 << 21) + 1, 2, False, DEFAULT.q, DEFAULT.q - 1, id="2097153-False"),
+        # Before inner blocks, k > 2^21 ran on Python integers; this case
+        # keeps its id but now runs the float path like every other k.
+        pytest.param(1, (1 << 21) + 1, 2, True, DEFAULT.q, DEFAULT.q - 1, id="2097153-False"),
     ]
     + [
-        pytest.param(
-            16, k, 32, True, q, 0x7FFEFFFF if q > 0x7FFEFFFF else q - 1, id=f"{k}-q{q}"
-        )
-        for k in (64, 65)
+        pytest.param(16, k, 32, True, q, _top(q), id=f"{k}-q{q}")
+        for k in (64, 65, 128, 129, 4097)
         for q in (2, 7, DEFAULT.q)
     ],
 )
 def test_matmul_inner_dimension_edge(monkeypatch, m, k, n, f64, q, top):
-    # b is q - 1 throughout and a is top. At k = 2^21, with top = q - 1,
-    # each limb sum of the four-product path is just below 2^53. At k = 64
-    # the short path splits only a, and top = 0x7FFEFFFF has the largest low
-    # limb, 0xFFFF, below 2^31 - 1, so each sum is just below 2^53 again. The exact entry is k * top * (q - 1) mod q.
+    # b is q - 1 throughout and a is top. Each 64-wide inner block splits
+    # only a, and with top = 0x7FFEFFFF each block's low-limb sum is just
+    # below 2^53. At k = 65, 129 and 4097 the last block is a single column;
+    # the accumulator runs over up to 65 blocks here and 32769 at k = 2^21 + 1.
+    # The exact entry is k * top * (q - 1) mod q.
     calls = _count_f64_products(monkeypatch)
     a = np.full((m, k), top, dtype=np.int64)
     b = np.full((k, n), q - 1, dtype=np.int64)
@@ -207,13 +214,13 @@ def test_matmul_inner_dimension_edge(monkeypatch, m, k, n, f64, q, top):
     assert got.dtype == np.int64
     assert got.shape == (m, n)
     assert np.all(got == k * top * (q - 1) % q)
-    if k <= 65:
+    if k < 1 << 21:
         assert np.array_equal(got.astype(object), np.dot(a.astype(object), b.astype(object)) % q)
 
 
 @pytest.mark.parametrize("m, n", [(0, 2), (2, 0)])
 def test_matmul_empty_operand_with_long_inner_dimension(m, n):
-    # No multiply-adds, so neither limb path applies for k > 2^16; the
+    # No multiply-adds, so the int64 limb product runs whatever k is; the
     # result must still be an int64 matrix of zeros.
     k = (1 << 16) + 1
     a = np.ones((m, k), dtype=np.int64)
@@ -232,13 +239,16 @@ def test_matmul_empty_operand_with_long_inner_dimension(m, n):
         ((64, 64, 8), True),
         ((16, 65, 32), True),
         ((15, 64, 32), False),
+        ((8, 1000, 8), True),
+        ((3, 200, 70), True),
     ],
 )
 @pytest.mark.parametrize("fill", ["max", "random"])
 def test_matmul_either_side_of_size_threshold(monkeypatch, shape, f64, fill):
     # 32*32*32 = 2^15 multiply-adds takes the float64 limb product, 31*32*32
     # the int64 one; both must equal the object-dtype product. At k = 64 the
-    # short product splits only a; k = 65 takes the four-product path.
+    # float path is one inner block; k = 65, 200 and 1000 accumulate 2, 4 and
+    # 16 blocks.
     q = DEFAULT.q
     m, k, n = shape
     if fill == "max":
