@@ -17,11 +17,7 @@ import numpy as np
 from sgcode import build_scheme, certify, conditional_mi_rank, make_field
 from sgcode.exactmat import FieldMatrix
 from sgcode.scheme import SchemeParams, demand_pattern
-from sgcode.verifier import (
-    LinearObservable,
-    conditional_mi_direct,
-    entropy_bruteforce,
-)
+from sgcode.verifier import conditional_mi_direct, entropy_bruteforce
 
 
 def main() -> None:
@@ -42,14 +38,12 @@ def main() -> None:
     print(f"tiny scheme over GF(3): {dims.f_cols} source variables, "
           f"3^{dims.f_cols} = {3 ** dims.f_cols} assignments enumerated")
 
-    transcript = LinearObservable(
-        FieldMatrix.wrap((tiny.c @ tiny.f).data.copy(), field)
-    )
+    transcript = FieldMatrix.wrap((tiny.c @ tiny.f).data.copy(), field)
     sum_rows = demand_pattern(dims, field)[: dims.n]
     gradient_rows = np.zeros((nk, dims.f_cols), dtype=np.int64)
     np.fill_diagonal(gradient_rows[:, :nk], 1)
-    the_sum = LinearObservable(FieldMatrix.wrap(sum_rows, field))
-    gradients = LinearObservable(FieldMatrix.wrap(gradient_rows, field))
+    the_sum = FieldMatrix.wrap(sum_rows, field)
+    gradients = FieldMatrix.wrap(gradient_rows, field)
 
     h = entropy_bruteforce([transcript, the_sum, gradients], 3, dims.f_cols)
     h_xs = entropy_bruteforce([transcript, the_sum], 3, dims.f_cols).joint_entropy

@@ -106,23 +106,12 @@ def cost_point(N: int, Nr: int, M: int, S: int) -> CostPoint:
     return CostPoint(N, Nr, M, S, R, rn, ratio, beta, regime)
 
 
-def _feasible(N: int, Nr: int, M: int, S: int) -> Tuple[Fraction, Fraction, Fraction]:
-    """(R, ratio, beta) of cost_point; raises Infeasible with its reason."""
-    pt = cost_point(N, Nr, M, S)
-    if pt.reason is not None:
-        raise Infeasible(pt.reason)
-    assert pt.R is not None and pt.ratio is not None and pt.beta is not None
-    return pt.R, pt.ratio, pt.beta
-
-
 def cost_R(N: int, Nr: int, M: int, S: int) -> Fraction:
-    """Achievable secure cost r / n of cost_point, exact; raises Infeasible."""
-    return _feasible(N, Nr, M, S)[0]
-
-
-def ratio_and_beta(N: int, Nr: int, M: int, S: int) -> Tuple[Fraction, Fraction]:
-    """(cost ratio R/Rn, beta) of cost_point; raises Infeasible."""
-    return _feasible(N, Nr, M, S)[1:]
+    """Secure cost r / n of cost_point, exact; raises Infeasible with its reason."""
+    pt = cost_point(N, Nr, M, S)
+    if pt.R is None:
+        raise Infeasible(pt.reason)
+    return pt.R
 
 
 def decimal12(value: Fraction) -> str:

@@ -134,8 +134,8 @@ class RoundReport:
     responders: Tuple[int, ...]
     per_server_symbols: int
     match: bool
-    decoded_digest: Optional[str] = None
-    direct_digest: Optional[str] = None
+    decoded_digest: str
+    direct_digest: str
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,6 @@ def simulate_rounds(
     rounds: int,
     rng: SeededRng,
     responders: Optional[Sequence[int]] = None,
-    with_digests: bool = True,
 ) -> SimulationReport:
     """Run many rounds and check each decode against the direct sum.
 
@@ -259,8 +258,8 @@ def simulate_rounds(
                     responders=schedule[t],
                     per_server_symbols=dims.r * ell,
                     match=bool(decoded[pos] == direct),
-                    decoded_digest=_digest(decoded[pos]) if with_digests else None,
-                    direct_digest=_digest(direct) if with_digests else None,
+                    decoded_digest=_digest(decoded[pos]),
+                    direct_digest=_digest(direct),
                 )
             )
     return SimulationReport(

@@ -448,22 +448,15 @@ def first_singular_subset(
     return comb(N, Nr), None
 
 
-def solve_linear(
-    a: FieldMatrix, b: FieldMatrix, pivots: Optional[List[int]] = None
-) -> FieldMatrix:
-    """Canonical solution X of A X = B with free variables set to zero.
-
-    Raises Unsolvable when the system is inconsistent. When pivots is given,
-    A's pivot columns are appended to it, so their count is rank(A).
-    """
+def solve_linear(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+    """Canonical solution X of A X = B with free variables set to zero;
+    raises Unsolvable when the system is inconsistent."""
     a._check(b)
     if a.rows != b.rows:
         raise DimensionMismatch("A and B must have the same row count")
     q = a.modulus.q
     aug = np.concatenate([a.data, b.data], axis=1)
     found = _reduce_rows(aug, q, a.cols)
-    if pivots is not None:
-        pivots.extend(found)
     if np.any(aug[len(found):, a.cols:]):
         raise Unsolvable("rank of [A | B] exceeds rank of A")
     x = np.zeros((a.cols, b.cols), dtype=a.data.dtype)

@@ -40,7 +40,7 @@ class TooLarge(ValueError):
 def _is_prime(m: int) -> bool:
     if m < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if m % p == 0:
             return m == p
     d = m - 1

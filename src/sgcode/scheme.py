@@ -301,8 +301,11 @@ def _attempt(
     restricted to a dataset's columns is the identity, the F2 columns of
     dataset k solve C_Q X = -C_G on the rows of its non-holders, which
     depends on k only through that set. One solve per distinct set, in
-    sorted order, writes the canonical X into F; its own pivot count decides
-    whether the set's key rows have full row rank."""
+    sorted order, writes the canonical X into F. It raises Unsolvable
+    exactly when C_Q lacks full row rank: n = r*Nr - C(N,S)*(N-M) >= 1 with
+    r <= C(N,S) gives N - M <= Nr - 1, so the non-holders lie in a responder
+    subset the scan proved invertible and their rows [C_G | C_Q] are
+    independent, yet a consistent system with y C_Q = 0 has y C_G = 0."""
     field = params.q
     _, failure = first_singular_subset(arr, field.q, dims.r, params.N, params.Nr)
     if failure is not None:
@@ -315,16 +318,12 @@ def _attempt(
     f = demand_pattern(dims, field)
     for dbar in sorted(datasets, key=sorted):
         sub = arr[dims.server_rows(sorted(dbar))]
-        pivots: List[int] = []
         try:
             x = solve_linear(
                 FieldMatrix.wrap(sub[:, dims.n :], field),
                 FieldMatrix.wrap((-sub[:, : dims.n]) % field.q, field),
-                pivots,
             )
         except Unsolvable:
-            pivots = []
-        if len(pivots) < sub.shape[0]:
             return f"key rows of non-holders {sorted(dbar)} lack full row rank", None
         for k in datasets[dbar]:
             f[dims.n :, dims.gradient_columns(k)] = x.data

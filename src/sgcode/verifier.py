@@ -29,18 +29,10 @@ from .scheme import (
 BRUTE_FORCE_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class LinearObservable:
-    """A linear function of the message variables (all gradient pieces, then
-    all key pieces), one output per coefficient row."""
-
-    coeff: FieldMatrix
-
-
-def rank_entropy(obs: LinearObservable) -> Fraction:
-    """Entropy of a linear function of iid uniform field variables, in log-q
-    units per symbol column: exactly the coefficient rank."""
-    return Fraction(rank(obs.coeff))
+def rank_entropy(coeff: FieldMatrix) -> Fraction:
+    """Entropy of coeff applied to iid uniform gradient then key pieces, in
+    log-q units per symbol column: exactly the rank of coeff."""
+    return Fraction(rank(coeff))
 
 
 # ---- decodability and encodability ------------------------------------------
@@ -197,16 +189,16 @@ class BruteForceReport:
 
 
 def entropy_bruteforce(
-    observables: Sequence[LinearObservable], q: int, var_count: int
+    observables: Sequence[FieldMatrix], q: int, var_count: int
 ) -> BruteForceReport:
     """Enumerate all q^var_count assignments and measure exact entropies of
-    each observable, the joint, and every pairwise mutual information."""
+    each coefficient matrix, the joint, and every pairwise mutual information."""
     if q**var_count > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"{q}^{var_count} exceeds {BRUTE_FORCE_LIMIT}")
-    for obs in observables:
-        if obs.coeff.cols != var_count:
+    for coeff in observables:
+        if coeff.cols != var_count:
             raise ValueError("coefficient width differs from var_count")
-        if obs.coeff.modulus.q != q:
+        if coeff.modulus.q != q:
             raise ValueError("observable modulus differs from q")
     total = q**var_count
     idx = np.arange(total, dtype=np.int64)
@@ -220,9 +212,9 @@ def entropy_bruteforce(
         per += 1
     weights = q ** np.arange(per, dtype=np.int64)
 
-    def _entropy(group: Sequence[LinearObservable]) -> Fraction:
+    def _entropy(group: Sequence[FieldMatrix]) -> Fraction:
         """Exact entropy of the group's stacked outputs."""
-        coeff = np.concatenate([obs.coeff.data for obs in group], axis=0)
+        coeff = np.concatenate([obs.data for obs in group], axis=0)
         vals = assign @ coeff.T.astype(np.int64) % q
         rows = vals.shape[1]
         if rows <= per:

@@ -46,7 +46,6 @@ from sgcode.scheme import (
     random_assignment,
 )
 from sgcode.verifier import (
-    LinearObservable,
     certify,
     entropy_bruteforce,
     rank_entropy,
@@ -104,7 +103,6 @@ def sweep_outcome() -> SweepOutcome:
                         L=scheme.dims.n,
                         rounds=SIM_ROUNDS,
                         rng=SeededRng(derive_seed(seed, "acceptance-sim")),
-                        with_digests=False,
                     )
                     t2 = time.perf_counter()
                     if not report.all_match:
@@ -274,9 +272,8 @@ def test_criterion_7_rank_entropy_matches_enumeration():
             rng.integers(0, q, size=(rows, var_count)).astype(np.int64),
             make_field(q),
         )
-        observable = LinearObservable(coeff)
-        report = entropy_bruteforce([observable], q, var_count)
-        assert report.entropies[0] == rank_entropy(observable)
+        report = entropy_bruteforce([coeff], q, var_count)
+        assert report.entropies[0] == rank_entropy(coeff)
     assert time.perf_counter() - t0 < 10.0
 
 

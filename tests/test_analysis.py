@@ -23,7 +23,6 @@ from sgcode.analysis import (
     feasibility_violation,
     feasible_tuples,
     order_optimality_check,
-    ratio_and_beta,
     sweep,
     sweep_csv,
     sweep_rows,
@@ -36,9 +35,9 @@ from sgcode.analysis import (
 def test_cost_small_example():
     assert cost_R(3, 3, 2, 2) == Fraction(2, 3)
     assert cost_Rn(3, 3, 2) == Fraction(1, 2)
-    ratio, beta = ratio_and_beta(3, 3, 2, 2)
-    assert ratio == Fraction(4, 3)
-    assert beta == Fraction(3, 2)
+    pt = cost_point(3, 3, 2, 2)
+    assert pt.ratio == Fraction(4, 3)
+    assert pt.beta == Fraction(3, 2)
 
 
 def test_cost_against_direct_binomials():
@@ -82,7 +81,7 @@ def test_feasibility_violations():
     with pytest.raises(Infeasible, match="S >= N-Nr\\+2"):
         cost_R(3, 2, 1, 2)
     with pytest.raises(Infeasible, match="not positive"):
-        ratio_and_beta(3, 3, 3, 2)
+        cost_R(3, 3, 3, 2)
     with pytest.raises(Infeasible):
         cost_Rn(4, 2, 1)
     assert cost_point(3, 2, 1, 2).reason == feasibility_violation(3, 2, 1, 2)
@@ -162,6 +161,16 @@ def test_feasible_tuples_small():
         (3, 3, 2, 2),
         (3, 3, 2, 3),
     ]
+
+
+def test_nonholders_fit_inside_a_responder_subset():
+    # n = r*Nr - C(N,S)*(N-M) >= 1 with r <= C(N,S) forces N - M <= Nr - 1,
+    # which construction relies on: a dataset's non-holders lie inside some
+    # responder subset. The bound is reached with equality.
+    tuples = feasible_tuples(12)
+    assert len(tuples) == 1716
+    assert all(N - M <= Nr - 1 for N, Nr, M, S in tuples)
+    assert any(N - M == Nr - 1 for N, Nr, M, S in tuples)
 
 
 def test_order_optimality_audit_small():

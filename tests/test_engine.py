@@ -548,11 +548,3 @@ def test_simulation_zero_rounds(wide_scheme):
     assert report.realized_cost == Fraction(
         wide_scheme.dims.r * report.piece_len, report.L
     )
-
-
-def test_simulation_without_digests(wide_scheme):
-    report = simulate_rounds(
-        wide_scheme, L=None, rounds=2, rng=SeededRng(1), with_digests=False
-    )
-    assert report.all_match
-    assert report.rounds[0].decoded_digest is None

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import sgcode.scheme
 from sgcode.analysis import Infeasible, feasibility_violation, feasible_tuples
 from sgcode.exactmat import FieldMatrix, rank, solve_linear
 from sgcode.field import SeededRng, TooLarge, make_field
@@ -234,11 +233,11 @@ def test_nonholder_check_is_the_f2_solve(q):
     assert seen == {"solved", "defect"}
 
 
-def test_nonholder_check_flags_a_consistent_rank_deficient_system(monkeypatch):
+def test_nonholder_check_flags_a_consistent_rank_deficient_system():
     # A repeated non-holder row keeps C_Q X = -C_G solvable while the key
-    # rows lose full row rank; the check must still flag it. The repeat also
-    # makes every C_U holding that server singular, so the subset scan is
-    # stubbed out to reach the non-holder check.
+    # rows lose full row rank. The repeat also makes every C_U holding that
+    # server singular, and N - M <= Nr - 1 puts the non-holders inside a
+    # responder subset, so the subset scan flags the defect before any solve.
     scheme = build_scheme(SchemeParams(K=2, N=4, Nr=4, M=2, S=2, q=Q), seed=0)
     dims = scheme.dims
     dbar = scheme.assignment.non_holders(1, 4)
@@ -250,9 +249,8 @@ def test_nonholder_check_flags_a_consistent_rank_deficient_system(monkeypatch):
         FieldMatrix.wrap(arr[rows][:, dims.n :], Q),
         FieldMatrix.wrap((-arr[rows][:, : dims.n]) % Q.q, Q),
     )
-    monkeypatch.setattr(sgcode.scheme, "first_singular_subset", lambda *args: (1, None))
     defect, f = _attempt(arr, scheme.params, dims, scheme.assignment)
-    assert defect == f"key rows of non-holders {sorted(dbar)} lack full row rank"
+    assert defect == "responder subset (1, 2, 3, 4) is not invertible"
     assert f is None
 
 

@@ -28,7 +28,6 @@ from sgcode.scheme import (
 from sgcode.verifier import (
     Certificate,
     EncodabilityReport,
-    LinearObservable,
     certify,
     conditional_mi_direct,
     conditional_mi_rank,
@@ -229,15 +228,13 @@ def test_security_matches_bruteforce_enumeration(tiny3):
     nk = dims.n * params.K
     var_count = dims.f_cols
 
-    transcript = LinearObservable(
-        FieldMatrix.wrap((tiny3.c @ tiny3.f).data.copy(), field)
-    )
+    transcript = FieldMatrix.wrap((tiny3.c @ tiny3.f).data.copy(), field)
     sum_rows = np.zeros((dims.n, var_count), dtype=np.int64)
     sum_rows[:, :nk] = tiny3.f.data[: dims.n, :nk]
     gradient_rows = np.zeros((nk, var_count), dtype=np.int64)
     np.fill_diagonal(gradient_rows[:, :nk], 1)
-    the_sum = LinearObservable(FieldMatrix.wrap(sum_rows, field))
-    gradients = LinearObservable(FieldMatrix.wrap(gradient_rows, field))
+    the_sum = FieldMatrix.wrap(sum_rows, field)
+    gradients = FieldMatrix.wrap(gradient_rows, field)
 
     singles = entropy_bruteforce([transcript, the_sum, gradients], 3, var_count)
     h_x, h_s, h_g = singles.entropies
@@ -259,8 +256,8 @@ def test_security_matches_bruteforce_enumeration(tiny3):
 
 def test_rank_entropy_known_values():
     f3 = make_field(3)
-    assert rank_entropy(LinearObservable(fm(np.eye(4), f3))) == 4
-    assert rank_entropy(LinearObservable(fm(np.zeros((2, 5)), f3))) == 0
+    assert rank_entropy(fm(np.eye(4), f3)) == 4
+    assert rank_entropy(fm(np.zeros((2, 5)), f3)) == 0
 
 
 def test_bruteforce_agrees_with_rank_entropy_on_random_observables():
@@ -271,9 +268,8 @@ def test_bruteforce_agrees_with_rank_entropy_on_random_observables():
         coeff = FieldMatrix.wrap(
             rng.integers(0, 3, size=(rows, 5)).astype(np.int64), field
         )
-        obs = LinearObservable(coeff)
-        report = entropy_bruteforce([obs], 3, 5)
-        assert report.entropies[0] == rank_entropy(obs)
+        report = entropy_bruteforce([coeff], 3, 5)
+        assert report.entropies[0] == rank_entropy(coeff)
 
 
 @pytest.mark.parametrize("height", [65, 130])
@@ -282,7 +278,7 @@ def test_bruteforce_counts_tall_observables_exactly(height):
     # int64; it must still count.
     coeff = np.zeros((height, 3), dtype=np.int64)
     coeff[height - 1, 0] = 1
-    obs = LinearObservable(FieldMatrix.wrap(coeff, make_field(2)))
+    obs = FieldMatrix.wrap(coeff, make_field(2))
     report = entropy_bruteforce([obs, obs], 2, 3)
     assert report.entropies == (1, 1)
     assert report.entropies[0] == rank_entropy(obs)
@@ -292,9 +288,9 @@ def test_bruteforce_counts_tall_observables_exactly(height):
 
 def test_bruteforce_pairwise_mi():
     field = make_field(3)
-    e1 = LinearObservable(fm([[1, 0]], field))
-    e2 = LinearObservable(fm([[0, 1]], field))
-    same = LinearObservable(fm([[2, 0]], field))
+    e1 = fm([[1, 0]], field)
+    e2 = fm([[0, 1]], field)
+    same = fm([[2, 0]], field)
     report = entropy_bruteforce([e1, e2, same], 3, 2)
     assert report.entropies == (1, 1, 1)
     assert report.joint_entropy == 2
@@ -312,7 +308,7 @@ def test_bruteforce_empty_observable_list():
 
 def test_bruteforce_refuses_oversized_enumeration():
     field = make_field(2)
-    obs = LinearObservable(fm(np.zeros((1, 20)), field))
+    obs = fm(np.zeros((1, 20)), field)
     with pytest.raises(TooLarge):
         entropy_bruteforce([obs], 2, 20)
 
@@ -320,9 +316,9 @@ def test_bruteforce_refuses_oversized_enumeration():
 def test_bruteforce_validates_width_and_modulus():
     f3 = make_field(3)
     with pytest.raises(ValueError, match="width"):
-        entropy_bruteforce([LinearObservable(fm(np.zeros((1, 4)), f3))], 3, 5)
+        entropy_bruteforce([fm(np.zeros((1, 4)), f3)], 3, 5)
     with pytest.raises(ValueError, match="modulus"):
-        entropy_bruteforce([LinearObservable(fm(np.zeros((1, 5)), f3))], 5, 5)
+        entropy_bruteforce([fm(np.zeros((1, 5)), f3)], 5, 5)
 
 
 # ---- monotonicity -----------------------------------------------------------
