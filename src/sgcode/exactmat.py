@@ -328,9 +328,6 @@ class FieldMatrix:
             _matmul_kernel(self.data, other.data, self.modulus.q), self.modulus
         )
 
-    def is_zero(self) -> bool:
-        return not np.any(self.data)
-
 
 # ---- operations -------------------------------------------------------------
 

@@ -293,9 +293,10 @@ def _attempt(
     params: SchemeParams,
     dims: DerivedDims,
     assignment: DataAssignment,
-) -> Tuple[Optional[str], Optional[np.ndarray]]:
-    """(None, F) when the sampled C passes every rank certification, else
-    (a description of the first defect, None).
+) -> Tuple[Optional[str], Optional[np.ndarray], tuple]:
+    """(None, F, scan) when the sampled C passes every rank certification,
+    else (a description of the first defect, None, scan); scan is what
+    first_singular_subset returned for C.
 
     Every size-Nr subset's C_U must be invertible. Then, because F1
     restricted to a dataset's columns is the identity, the F2 columns of
@@ -307,9 +308,9 @@ def _attempt(
     subset the scan proved invertible and their rows [C_G | C_Q] are
     independent, yet a consistent system with y C_Q = 0 has y C_G = 0."""
     field = params.q
-    _, failure = first_singular_subset(arr, field.q, dims.r, params.N, params.Nr)
-    if failure is not None:
-        return f"responder subset {failure} is not invertible", None
+    scan = first_singular_subset(arr, field.q, dims.r, params.N, params.Nr)
+    if scan[1] is not None:
+        return f"responder subset {scan[1]} is not invertible", None, scan
     datasets: Dict[FrozenSet[int], List[int]] = {}
     for k in range(1, params.K + 1):
         dbar = assignment.non_holders(k, params.N)
@@ -324,10 +325,10 @@ def _attempt(
                 FieldMatrix.wrap((-sub[:, : dims.n]) % field.q, field),
             )
         except Unsolvable:
-            return f"key rows of non-holders {sorted(dbar)} lack full row rank", None
+            return f"key rows of non-holders {sorted(dbar)} lack full row rank", None, scan
         for k in datasets[dbar]:
             f[dims.n :, dims.gradient_columns(k)] = x.data
-    return None, f
+    return None, f, scan
 
 
 _FIXED_BLOCK_ERRORS = {
@@ -401,9 +402,18 @@ class SchemeArtifact:
         """The piece sums, the first n rows of C_U^-1 X_U, from any responder
         subset's stacked messages. Built from C on first use, so one artifact
         eliminates its C_U0 once; raises exactmat.Singular naming U0 when
-        C_U0 is singular. certify never reads it."""
+        C_U0 is singular. certify never reads it: it reads the SCAN_MEMO that
+        build_scheme seeds, and a parsed or replaced artifact, which has
+        none, scans its own C."""
         p = self.params
         return SubsetDecoder(self.c.data, p.q.q, self.dims.r, p.Nr, self.dims.n)
+
+
+# The instance __dict__ key of an artifact's subset scan of its read-only C,
+# the (subsets_checked, first_failure) of first_singular_subset. Like
+# decoder, it lies outside the dataclass fields, so dataclasses.replace
+# starts a copy without it.
+SCAN_MEMO = "subset_scan"
 
 
 def build_scheme(
@@ -413,8 +423,10 @@ def build_scheme(
 ) -> SchemeArtifact:
     """derive_dims, then sample C and build F until an attempt passes, or raise
     ConstructionFailed after RETRY_LIMIT; deterministic in (params, assignment,
-    seed). Raises TooLarge, before allocating C or F, above MAX_MATRIX_ENTRIES
-    entries in either (N*Nr above the cap is refused before derive_dims)."""
+    seed). The artifact carries its accepted attempt's subset scan as
+    SCAN_MEMO, which certify reads instead of scanning C again. Raises
+    TooLarge, before allocating C or F, above MAX_MATRIX_ENTRIES entries in
+    either (N*Nr above the cap is refused before derive_dims)."""
     dims, _ = _checked_dims(params)
     if assignment is None:
         assignment = cyclic_assignment(params)
@@ -424,12 +436,14 @@ def build_scheme(
     rng = SeededRng(seed).spawn("coding")
     for attempt in range(RETRY_LIMIT):
         arr = _sample_coding(params, dims, rng.spawn(f"sample-{attempt}"))
-        defect, f = _attempt(arr, params, dims, assignment)
+        defect, f, scan = _attempt(arr, params, dims, assignment)
         if f is not None:
-            return SchemeArtifact(
+            built = SchemeArtifact(
                 params=params, dims=dims, assignment=assignment, seed=seed, retries_used=attempt,
                 c=FieldMatrix.wrap(arr, params.q), f=FieldMatrix.wrap(f, params.q),
             )
+            built.__dict__[SCAN_MEMO] = scan
+            return built
     raise ConstructionFailed(
         f"{RETRY_LIMIT} attempts failed (last: {defect}); "
         f"q={params.q.q} is below the recommended minimum "

@@ -19,6 +19,7 @@ from .exactmat import FieldMatrix, first_singular_subset, pivot_columns, rank
 from .field import TooLarge
 from .keyspace import comb0, omega_closed
 from .scheme import (
+    SCAN_MEMO,
     SchemeArtifact,
     SchemeParams,
     broken_fixed_block,
@@ -49,12 +50,17 @@ class DecodabilityReport:
 
 
 def verify_decodability(scheme: SchemeArtifact) -> DecodabilityReport:
-    """Every size-Nr responder subset must stack to an invertible C_U."""
-    params = scheme.params
-    checked, failure = first_singular_subset(
-        scheme.c.data, params.q.q, scheme.dims.r, params.N, params.Nr
-    )
-    return DecodabilityReport(checked, failure)
+    """Every size-Nr responder subset must stack to an invertible C_U. Reads
+    the artifact's SCAN_MEMO, which build_scheme seeds; an artifact without
+    one (parsed, or made by dataclasses.replace) scans its own C once and
+    keeps the result there, since C is read-only."""
+    memo = scheme.__dict__
+    if SCAN_MEMO not in memo:
+        params = scheme.params
+        memo[SCAN_MEMO] = first_singular_subset(
+            scheme.c.data, params.q.q, scheme.dims.r, params.N, params.Nr
+        )
+    return DecodabilityReport(*memo[SCAN_MEMO])
 
 
 @dataclass(frozen=True)
@@ -342,7 +348,9 @@ def _dims_identity(scheme: SchemeArtifact) -> bool:
 
 def certify(scheme: SchemeArtifact) -> Certificate:
     """Run every certification check; all five must pass before an artifact
-    may be called certified.
+    may be called certified. Decodability reads the artifact's subset scan
+    memo, which build_scheme seeds; a parsed or replaced artifact scans its
+    own C on its first certify.
 
     When F's fixed blocks hold, the security MI is 0 by structure, for every
     C and F2. Split C at column n into C_sum and C_key; then the key columns

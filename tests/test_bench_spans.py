@@ -55,6 +55,13 @@ def test_traced_worked_example_records_work_at_each_layer():
         report = sgcode.engine.simulate_rounds(scheme, None, 3, SeededRng(0))
         assert report.all_match
         passing = spans.layer_metrics(tracer.spans, 0)
+        # certify reads the built artifact's scan memo; a parsed copy, which
+        # has none, scans its own C at the verifier's site.
+        built_scans = [s for s in tracer.spans if s[0] == "verifier.subset_scan"]
+        parsed = sgcode.scheme.artifact_from_json(sgcode.scheme.artifact_to_json(scheme))
+        mark = len(tracer.spans)
+        assert sgcode.verifier.certify(parsed).passed
+        parsed_scans = [s for s in tracer.spans[mark:] if s[0] == "verifier.subset_scan"]
         # A passing certify reads its MI off F's structure; the rank-based
         # security measure (verifier.security) runs on a broken F3 only.
         f = scheme.f.data.copy()
@@ -71,4 +78,6 @@ def test_traced_worked_example_records_work_at_each_layer():
     assert "verifier.security" in work
     assert passing["verifier.certify.calls"] == 1
     assert passing["verifier.security.s"] == 0
-    assert spans.layer_metrics(tracer.spans, 0)["verifier.certify.calls"] == 2
+    assert len(built_scans) == 0
+    assert len(parsed_scans) == 1
+    assert spans.layer_metrics(tracer.spans, 0)["verifier.certify.calls"] == 3

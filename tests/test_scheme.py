@@ -207,7 +207,7 @@ def test_nonholder_check_is_the_f2_solve(q):
     seen = set()
     for seed in range(200):
         arr = _sample_coding(params, dims, SeededRng(seed))
-        defect, f = _attempt(arr, params, dims, assignment)
+        defect, f, _ = _attempt(arr, params, dims, assignment)
         if defect is not None and defect.startswith("responder subset"):
             continue
         blocks = {dbar: arr[dims.server_rows(sorted(dbar))] for dbar in sets}
@@ -249,9 +249,10 @@ def test_nonholder_check_flags_a_consistent_rank_deficient_system():
         FieldMatrix.wrap(arr[rows][:, dims.n :], Q),
         FieldMatrix.wrap((-arr[rows][:, : dims.n]) % Q.q, Q),
     )
-    defect, f = _attempt(arr, scheme.params, dims, scheme.assignment)
+    defect, f, scan = _attempt(arr, scheme.params, dims, scheme.assignment)
     assert defect == "responder subset (1, 2, 3, 4) is not invertible"
     assert f is None
+    assert scan == (1, (1, 2, 3, 4))
 
 
 def test_construction_failures_are_pinned():

@@ -11,15 +11,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sgcode.scheme
 import sgcode.verifier
 from sgcode.analysis import feasible_tuples
 from sgcode.engine import simulate_rounds
 from sgcode.exactmat import FieldMatrix
 from sgcode.field import SeededRng, TooLarge, make_field
 from sgcode.scheme import (
+    ConstructionFailed,
     DataAssignment,
     SchemeArtifact,
     SchemeParams,
+    artifact_from_json,
+    artifact_to_json,
     build_scheme,
     cyclic_assignment,
     demand_pattern,
@@ -117,6 +121,69 @@ def test_decodability_names_first_singular_subset(wide):
         "pass": False,
         "first_failure": [1, 2, 4, 5],
     }
+
+
+# ---- the subset scan memo ---------------------------------------------------
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The module of every subset scan that build_scheme or certify runs."""
+    calls = []
+    for module in (sgcode.scheme, sgcode.verifier):
+        def counted(*args, _module=module, _scan=module.first_singular_subset):
+            calls.append(_module.__name__)
+            return _scan(*args)
+
+        monkeypatch.setattr(module, "first_singular_subset", counted)
+    return calls
+
+
+def test_certify_of_a_build_reads_the_build_scan(scans):
+    built = build_scheme(SchemeParams(K=2, N=5, Nr=4, M=2, S=3, q=Q), seed=0)
+    cert = certify(built)
+    assert cert.passed
+    assert cert.decodability.subsets_checked == 5
+    assert scans == ["sgcode.scheme"]
+
+
+def test_parsed_artifact_scans_once_over_repeated_certify(wide, scans):
+    parsed = artifact_from_json(artifact_to_json(wide))
+    first, second = certify(parsed), certify(parsed)
+    assert first.passed
+    assert first.to_json() == second.to_json()
+    assert scans == ["sgcode.verifier"]
+
+
+def test_replaced_copy_scans_its_own_coding_matrix(scans):
+    # dataclasses.replace starts the copy without the build's memo, so the
+    # corrupted C is scanned and its first singular subset named.
+    built = build_scheme(SchemeParams(K=2, N=5, Nr=4, M=2, S=3, q=Q), seed=0)
+    r = built.dims.r
+    data = built.c.data.copy()
+    data[4 * r : 5 * r] = data[3 * r : 4 * r]
+    bad = dataclasses.replace(built, c=FieldMatrix.wrap(data, Q))
+    report = certify(bad).decodability
+    assert report.first_failure == (1, 2, 4, 5)
+    assert report.subsets_checked == 3
+    assert certify(built).passed
+    assert scans == ["sgcode.scheme", "sgcode.verifier"]
+
+
+@pytest.mark.parametrize("q", [7, 2147483647])
+def test_certificate_of_a_build_matches_its_parsed_copy(q):
+    certified = 0
+    for N, Nr, M, S in feasible_tuples(4):
+        for K in (1, 2):
+            params = SchemeParams(K=K, N=N, Nr=Nr, M=M, S=S, q=make_field(q))
+            try:
+                built = build_scheme(params, seed=0)
+            except ConstructionFailed:
+                continue
+            parsed = artifact_from_json(artifact_to_json(built))
+            assert certify(built).to_json() == certify(parsed).to_json()
+            certified += 1
+    assert certified > 0
 
 
 def test_encodability_worked_example(worked):
